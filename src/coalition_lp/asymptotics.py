@@ -26,14 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .election import ScoreVector, all_rankings, score_matrix
-from .reduction import MarginPair, Polytope2D, cone_optimal_vertices, mw_polytope
+from .election import InvalidInput, ScoreVector, sample_scoreboards
+from .reduction import Polytope2D, cone_optimal_vertices, mw_polytope
 
 CHUNK = 1 << 18
 Z95 = 1.959963984540054
 
 
-class GridTooCoarse(Exception):
+class GridTooCoarse(InvalidInput):
     pass
 
 
@@ -92,16 +92,21 @@ def sample_vw_batch(model: LimitModel, rng, size: int) -> np.ndarray:
     z = rng.standard_normal((size, model.m))
     z.sort(axis=1)
     zbar = z.mean(axis=1)
-    a_gain = z[:, -1] - zbar
-    b_lift = zbar - z[:, -2]
-    vals = np.max(
-        np.outer(a_gain, model.scaled_vertices[:, 0])
-        + np.outer(b_lift, model.scaled_vertices[:, 1]),
-        axis=1,
-    )
-    if model.has_ray:
-        vals[b_lift > 0] = np.inf
+    return _vertex_max(z[:, -1] - zbar, zbar - z[:, -2], model.scaled_vertices, model.has_ray)
+
+
+def _vertex_max(a, b, verts, has_ray):
+    """max over vertices (vx, vy) of a*vx + b*vy, and +inf where b > 0 if M_w has a ray."""
+    vals = np.max(np.outer(a, verts[:, 0]) + np.outer(b, verts[:, 1]), axis=1)
+    if has_ray:
+        vals[b > 0] = np.inf
     return vals
+
+
+def _count_le(vals, garr):
+    """How many of vals are <= each grid point (sorts vals in place)."""
+    vals.sort()
+    return np.searchsorted(vals, garr, side="right")
 
 
 def sample_vw(model: LimitModel, seed):
@@ -169,6 +174,29 @@ def resolve_threads(threads=None) -> int:
     return os.cpu_count() or 1
 
 
+def _chunked_sum(samples: int, seed, draw, threads):
+    """Sum draw(rng, size) over fixed chunks of `samples`, in chunk order.
+
+    Chunk i draws from SeedSequence((*seed, i)), so the total does not
+    depend on how many worker threads run the chunks.
+    """
+    base = _seed_tuple(seed)
+    sizes = [CHUNK] * (samples // CHUNK)
+    if samples % CHUNK:
+        sizes.append(samples % CHUNK)
+
+    def one_chunk(idx, size):
+        return draw(np.random.default_rng(np.random.SeedSequence(base + (idx,))), size)
+
+    workers = min(resolve_threads(threads), len(sizes))
+    if workers <= 1:
+        results = list(map(one_chunk, range(len(sizes)), sizes))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one_chunk, range(len(sizes)), sizes))
+    return sum(results[1:], results[0])
+
+
 def gw_curve(model: LimitModel, grid, samples: int, seed, threads=None) -> GwCurve:
     """Monte Carlo estimate of g_w on the grid, with 95% Wilson half-widths."""
     grid = [float(v) for v in grid]
@@ -176,74 +204,68 @@ def gw_curve(model: LimitModel, grid, samples: int, seed, threads=None) -> GwCur
         raise ValueError("grid must be non-decreasing")
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples for a stable curve")
-    base = _seed_tuple(seed)
-    sizes = [CHUNK] * (samples // CHUNK)
-    if samples % CHUNK:
-        sizes.append(samples % CHUNK)
     garr = np.asarray(grid)
 
-    def one_chunk(idx_size):
-        idx, size = idx_size
-        rng = np.random.default_rng(np.random.SeedSequence(base + (idx,)))
+    def draw(rng, size):
+        # the last entry counts the finite draws
         vals = sample_vw_batch(model, rng, size)
-        vals.sort()
-        le_counts = np.searchsorted(vals, garr, side="right")
-        return le_counts.astype(np.int64), int(np.isfinite(vals).sum())
+        return np.append(_count_le(vals, garr), np.isfinite(vals).sum())
 
-    counts = np.zeros(len(grid), dtype=np.int64)
-    finite = 0
-    workers = resolve_threads(threads)
-    if workers == 1 or len(sizes) == 1:
-        results = map(one_chunk, enumerate(sizes))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        results = pool.map(one_chunk, list(enumerate(sizes)))
-    for le_counts, fin in results:
-        counts += le_counts
-        finite += fin
-
+    total = _chunked_sum(samples, seed, draw, threads)
+    counts, finite = total[:-1], int(total[-1])
     g = isotonic(counts / samples)
     ci = tuple(_wilson_half_width(p, samples) for p in g)
     return GwCurve(tuple(grid), tuple(g), ci, samples, finite / samples)
 
 
-def curve_to_csv(curve: GwCurve, rule_label: str, m: int, seed) -> str:
-    lines = [
-        f"# rule={rule_label} m={m} seed={_seed_tuple(seed)[0]} "
-        f"samples={curve.samples} plateau={curve.plateau:.6f}",
-        "v,g_hat,ci_half_width,samples",
-    ]
-    for v, g, h in zip(curve.grid, curve.g_hat, curve.ci_half_width):
-        lines.append(f"{v:.6f},{g:.6f},{h:.6f},{curve.samples}")
+# Both CSV formats are one `# key=value ...` header line, the column row and
+# the data rows.  A format lists its header fields and its columns as (name,
+# type); the type sets how a value is written and what a header value matches.
+_SPEC = {str: "", int: "", float: ".6f"}
+_PATTERN = {str: r"\S+", int: r"-?\d+", float: r"[\d.eE+-]+"}
+_CURVE_HEADER = (("rule", str), ("m", int), ("seed", int), ("samples", int), ("plateau", float))
+_CURVE_COLUMNS = (("v", float), ("g_hat", float), ("ci_half_width", float), ("samples", int))
+
+
+def _cells(fields, values) -> list:
+    return [format(v, _SPEC[kind]) for (_, kind), v in zip(fields, values)]
+
+
+def _to_csv(header, columns, meta, rows) -> str:
+    pairs = (f"{name}={v}" for (name, _), v in zip(header, _cells(header, meta)))
+    lines = ["# " + " ".join(pairs), ",".join(name for name, _ in columns)]
+    lines += [",".join(_cells(columns, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _from_csv(text: str, what: str, header, columns):
+    """Parse one of the CSV formats; returns (meta dict, rows of typed values)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    pattern = r"#\s*" + r"\s+".join(f"{name}=({_PATTERN[kind]})" for name, kind in header)
+    found = re.match(pattern, lines[0]) if lines else None
+    if not found:
+        raise ValueError(f"{what} CSV lacks the metadata header")
+    meta = {name: kind(v) for (name, kind), v in zip(header, found.groups())}
+    if len(lines) < 2 or lines[1].strip() != ",".join(name for name, _ in columns):
+        raise ValueError(f"unexpected {what} CSV columns")
+    rows = []
+    for ln in lines[2:]:
+        # strict: a row with too few or too many fields raises ValueError
+        rows.append([kind(c) for (_, kind), c in zip(columns, ln.split(","), strict=True)])
+    return meta, rows
+
+
+def curve_to_csv(curve: GwCurve, rule_label: str, m: int, seed) -> str:
+    meta = (rule_label, m, _seed_tuple(seed)[0], curve.samples, curve.plateau)
+    rows = [(*vgh, curve.samples) for vgh in zip(curve.grid, curve.g_hat, curve.ci_half_width)]
+    return _to_csv(_CURVE_HEADER, _CURVE_COLUMNS, meta, rows)
 
 
 def curve_from_csv(text: str):
     """Parse a curve CSV; returns (meta dict, GwCurve)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = re.match(
-        r"#\s*rule=(\S+)\s+m=(\d+)\s+seed=(-?\d+)\s+samples=(\d+)\s+plateau=([\d.eE+-]+)",
-        lines[0],
-    )
-    if not header:
-        raise ValueError("curve CSV lacks the metadata header")
-    meta = {
-        "rule": header.group(1),
-        "m": int(header.group(2)),
-        "seed": int(header.group(3)),
-        "samples": int(header.group(4)),
-        "plateau": float(header.group(5)),
-    }
-    if lines[1].strip() != "v,g_hat,ci_half_width,samples":
-        raise ValueError("unexpected curve CSV columns")
-    grid, g, ci = [], [], []
-    for ln in lines[2:]:
-        v, gh, hw, _s = ln.split(",")
-        grid.append(float(v))
-        g.append(float(gh))
-        ci.append(float(hw))
-    curve = GwCurve(tuple(grid), tuple(g), tuple(ci), meta["samples"], meta["plateau"])
-    return meta, curve
+    meta, rows = _from_csv(text, "curve", _CURVE_HEADER, _CURVE_COLUMNS)
+    grid, g, ci = (tuple(row[j] for row in rows) for j in range(3))
+    return meta, GwCurve(grid, g, ci, meta["samples"], meta["plateau"])
 
 
 def gap_cdf(x, m: int):
@@ -273,17 +295,13 @@ def plateau_probability(m: int, samples: int = 1_000_000, seed=0, threads=None):
     """
     if m < 3:
         raise ValueError("need m >= 3")
-    base = _seed_tuple(seed)
-    sizes = [CHUNK] * (samples // CHUNK)
-    if samples % CHUNK:
-        sizes.append(samples % CHUNK)
-    hits = 0
-    for idx, size in enumerate(sizes):
-        rng = np.random.default_rng(np.random.SeedSequence(base + (idx,)))
+
+    def draw(rng, size):
         z = rng.standard_normal((size, m))
         z.sort(axis=1)
-        hits += int((z[:, -2] < z.mean(axis=1)).sum())
-    p = hits / samples
+        return int((z[:, -2] < z.mean(axis=1)).sum())
+
+    p = _chunked_sum(samples, seed, draw, threads) / samples
     return p, _wilson_half_width(p, samples)
 
 
@@ -417,34 +435,19 @@ class ConvergencePoint:
     unreachable_fraction: float
 
 
+_CONV_HEADER = (("rule", str), ("m", int), ("seed", int), ("trials", int))
+_CONV_COLUMNS = (("n", int), ("ks", float), ("trials_used", int), ("unreachable_fraction", float))
+
+
 def convergence_to_csv(points, rule_label: str, m: int, seed, trials: int) -> str:
-    lines = [
-        f"# rule={rule_label} m={m} seed={_seed_tuple(seed)[0]} trials={trials}",
-        "n,ks,trials_used,unreachable_fraction",
-    ]
-    for p in points:
-        lines.append(f"{p.n},{p.ks:.6f},{p.trials_used},{p.unreachable_fraction:.6f}")
-    return "\n".join(lines) + "\n"
+    meta = (rule_label, m, _seed_tuple(seed)[0], trials)
+    rows = [(p.n, p.ks, p.trials_used, p.unreachable_fraction) for p in points]
+    return _to_csv(_CONV_HEADER, _CONV_COLUMNS, meta, rows)
 
 
 def convergence_from_csv(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = re.match(r"#\s*rule=(\S+)\s+m=(\d+)\s+seed=(-?\d+)\s+trials=(\d+)", lines[0])
-    if not header:
-        raise ValueError("convergence CSV lacks the metadata header")
-    meta = {
-        "rule": header.group(1),
-        "m": int(header.group(2)),
-        "seed": int(header.group(3)),
-        "trials": int(header.group(4)),
-    }
-    if lines[1].strip() != "n,ks,trials_used,unreachable_fraction":
-        raise ValueError("unexpected convergence CSV columns")
-    points = []
-    for ln in lines[2:]:
-        n, ks, used, frac = ln.split(",")
-        points.append(ConvergencePoint(int(n), float(ks), int(used), float(frac)))
-    return meta, points
+    meta, rows = _from_csv(text, "convergence", _CONV_HEADER, _CONV_COLUMNS)
+    return meta, [ConvergencePoint(*row) for row in rows]
 
 
 def convergence_experiment(
@@ -462,6 +465,8 @@ def convergence_experiment(
     two-variable dual on the margins, and reports the sup distance between
     the empirical CDF on the grid and the Monte Carlo limit curve.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     model = limit_model(rule)
     if grid is None:
         grid = DEFAULT_GRID
@@ -469,8 +474,6 @@ def convergence_experiment(
     limit = gw_curve(model, grid, limit_samples, seed, threads)
     garr = np.asarray(grid)
     verts = np.array([[float(x), float(y)] for x, y in model.polytope.vertices])
-    fact = len(all_rankings(rule.m))
-    mat = score_matrix(rule)
     wbar = float(rule.mean)
     out = []
     for j, n in enumerate(n_list):
@@ -478,28 +481,16 @@ def convergence_experiment(
         used = 0
         unreachable = 0
         counts = np.zeros(len(grid), dtype=np.int64)
-        remaining = trials
-        while remaining > 0:
-            batch = min(remaining, 200_000)
-            remaining -= batch
-            scores = rng.multinomial(n, [1.0 / fact] * fact, size=batch).astype(float) @ mat
+        for done in range(0, trials, 200_000):
+            scores = sample_scoreboards(n, rule, min(trials - done, 200_000), rng)
             scores.sort(axis=1)
             top, second = scores[:, -1], scores[:, -2]
             strict = top - second > 1e-9
-            a_margin = top[strict] - n * wbar
-            b_deficit = n * wbar - second[strict]
             used += int(strict.sum())
-            q = np.max(
-                np.outer(a_margin, verts[:, 0]) + np.outer(b_deficit, verts[:, 1]), axis=1
-            )
-            if model.has_ray:
-                hit = b_deficit > 0
-                unreachable += int(hit.sum())
-                q[hit] = np.inf
-            scaled = q / math.sqrt(n)
-            scaled.sort()
-            counts += np.searchsorted(scaled, garr, side="right")
-        ecdf = counts / used if used else counts.astype(float)
-        ks = float(np.max(np.abs(ecdf - np.asarray(limit.g_hat)))) if used else math.nan
+            a_margin, b_deficit = top[strict] - n * wbar, n * wbar - second[strict]
+            q = _vertex_max(a_margin, b_deficit, verts, model.has_ray)
+            unreachable += int(np.isinf(q).sum())
+            counts += _count_le(q / math.sqrt(n), garr)
+        ks = float(np.max(np.abs(counts / used - np.asarray(limit.g_hat)))) if used else math.nan
         out.append(ConvergencePoint(int(n), ks, used, unreachable / used if used else math.nan))
     return out

@@ -16,26 +16,18 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, lp, reduction
-from .election import Profile, parse_rule, scoreboard
+from .election import Profile, parse_rule
 from .exact import InstanceTooLarge, NotStrictWinner, mcs_outcome
 
-VALIDATION_ERRORS = (
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-    NotStrictWinner,
-    InstanceTooLarge,
-    reduction.UnknownFamily,
-    reduction.ParamOutOfRange,
-    asymptotics.GridTooCoarse,
-)
+# ValueError covers election.InvalidInput and json.JSONDecodeError.
+VALIDATION_ERRORS = (ValueError, KeyError, OSError, NotStrictWinner, InstanceTooLarge)
 NUMERICAL_ERRORS = (
     lp.NumericalFailure,
     lp.StatusMismatch,
     reduction.ZInfeasible,
     reduction.ConstructionFailed,
 )
+MAX_GRID_POINTS = 100_000
 
 
 def parse_grid(spec: str):
@@ -44,11 +36,16 @@ def parse_grid(spec: str):
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"grid needs finite numbers, got {spec!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must not precede start")
-    count = int((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    count = int(span) + 1
     return [round(start + i * step, 10) for i in range(count)]
 
 

@@ -25,19 +25,23 @@ TIE_TOL = 1e-9
 MAX_CANDIDATES = 8  # m! grows too fast for exhaustive type enumeration past this
 
 
-class TooFewCandidates(Exception):
+class InvalidInput(ValueError):
+    """Base class of the errors that reject a malformed or out-of-range input."""
+
+
+class TooFewCandidates(InvalidInput):
     pass
 
 
-class MTooLarge(Exception):
+class MTooLarge(InvalidInput):
     pass
 
 
-class NotMonotone(Exception):
+class NotMonotone(InvalidInput):
     pass
 
 
-class ConstantVector(Exception):
+class ConstantVector(InvalidInput):
     pass
 
 
@@ -110,6 +114,8 @@ def normalize(raw) -> ScoreVector:
         w = [Fraction(x) for x in w]
     else:
         w = [float(x) for x in w]
+        if not all(math.isfinite(x) for x in w):
+            raise InvalidInput("weights must be finite numbers")
     for i in range(len(w) - 1):
         if w[i] < w[i + 1] and not _close(w[i], w[i + 1]):
             raise NotMonotone(f"weights increase at position {i}")
@@ -336,5 +342,5 @@ def sample_ic(n: int, m: int, seed) -> Profile:
 def sample_scoreboards(n: int, rule: ScoreVector, trials: int, rng) -> np.ndarray:
     """Vectorized IC sampling: (trials, m) float array of candidate scores."""
     fact = len(all_rankings(rule.m))
-    counts = rng.multinomial(n, [1.0 / fact] * fact, size=trials)
-    return counts.astype(float) @ score_matrix(rule)
+    # one expression, so the int64 counts are freed before the product is formed
+    return rng.multinomial(n, [1.0 / fact] * fact, size=trials).astype(float) @ score_matrix(rule)

@@ -28,7 +28,6 @@ from .election import (
     scoreboard,
     sigma,
     top_two,
-    _close,
     _is_exact,
 )
 
@@ -306,20 +305,18 @@ class _Budget:
             raise InstanceTooLarge(f"search exceeded the {NODE_BUDGET}-node budget")
 
 
-def _ballots_feasible(k, ballots, sig, caps, target, m, budget):
-    """Can k ballots from the given types keep every candidate within caps?"""
+def _ballot_search(k, ballots, sig, caps, target, m, budget):
+    """[(type, count > 0), ...] for k ballots that keep every candidate within caps, or None."""
 
     def rec(idx, remaining, totals):
         budget.spend()
-        if idx == len(ballots) - 1:
-            t = ballots[idx]
-            row = sig[t]
-            for c in range(m):
-                if c != target and totals[c] + remaining * row[c] > caps[c]:
-                    return False
-            return True
         t = ballots[idx]
         row = sig[t]
+        if idx == len(ballots) - 1:
+            for c in range(m):
+                if c != target and totals[c] + remaining * row[c] > caps[c]:
+                    return None
+            return [(t, remaining)] if remaining else []
         for take in range(remaining + 1):
             new = list(totals)
             ok = True
@@ -332,15 +329,16 @@ def _ballots_feasible(k, ballots, sig, caps, target, m, budget):
                     break
             if not ok:
                 break  # larger takes only add more score
-            if rec(idx + 1, remaining - take, new):
-                return True
-        return False
+            rest = rec(idx + 1, remaining - take, new)
+            if rest is not None:
+                return ([(t, take)] + rest) if take else rest
+        return None
 
     return rec(0, k, [0] * m)
 
 
 def _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win):
-    """Find a size-k plan, or None.  pool entries are (type, available count)."""
+    """Find a size-k CoalitionPlan, or None.  pool entries are (type, available count)."""
     m = inst.m
     target = inst.beta
     tie_bump = 1 if strict_win else 0
@@ -364,9 +362,8 @@ def _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win
             for c in range(m):
                 if c != target and k * min(sig[t][c] for t in ballots) > caps[c]:
                     return None
-            if _ballots_feasible(k, ballots, sig, caps, target, m, budget):
-                return []
-            return None
+            cast = _ballot_search(k, ballots, sig, caps, target, m, budget)
+            return None if cast is None else CoalitionPlan(x={}, y=dict(cast))
         t, avail = pool[idx]
         row = sig[t]
         top = min(avail, remaining)
@@ -374,53 +371,12 @@ def _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win
             if idx == len(pool) - 1 and take != remaining:
                 continue
             new_removed = [removed[c] + take * row[c] for c in range(m)]
-            rest = rec(idx + 1, remaining - take, new_removed)
-            if rest is not None:
-                return ([(t, take)] + rest) if take else rest
+            plan = rec(idx + 1, remaining - take, new_removed)
+            if plan is not None:
+                return CoalitionPlan(x={t: take, **plan.x}, y=plan.y) if take else plan
         return None
 
     return rec(0, k, [0] * m)
-
-
-def _assemble_plan(inst, k, recruits, sig, base, scale, budget, strict_win):
-    """Re-run the ballot search for the found recruits, keeping the ballots."""
-    m = inst.m
-    target = inst.beta
-    removed = [0] * m
-    for t, take in recruits:
-        for c in range(m):
-            removed[c] += take * sig[t][c]
-    post = [base[c] - removed[c] for c in range(m)]
-    target_score = post[target] + scale * k
-    caps = [
-        target_score - post[c] - (1 if strict_win else 0) if c != target else 0
-        for c in range(m)
-    ]
-    ballots = inst.first_types
-
-    def rec(idx, remaining, totals, chosen):
-        if idx == len(ballots) - 1:
-            t = ballots[idx]
-            row = sig[t]
-            for c in range(m):
-                if c != target and totals[c] + remaining * row[c] > caps[c]:
-                    return None
-            return chosen + [(t, remaining)] if remaining else chosen
-        t = ballots[idx]
-        row = sig[t]
-        for take in range(remaining + 1):
-            new = [totals[c] + take * row[c] for c in range(m)]
-            if any(new[c] > caps[c] for c in range(m) if c != target):
-                break
-            got = rec(idx + 1, remaining - take, new, chosen + ([(t, take)] if take else []))
-            if got is not None:
-                return got
-        return None
-
-    chosen = rec(0, k, [0] * m, [])
-    if chosen is None:
-        raise lp.NumericalFailure("ballot reconstruction failed for a verified size")
-    return CoalitionPlan(x=dict(recruits), y=dict(chosen))
 
 
 def _search(inst, kmax, budget, strict_win, unrestricted):
@@ -441,9 +397,8 @@ def _search(inst, kmax, budget, strict_win, unrestricted):
         return None
     start = max(1, math.ceil(lower))
     for k in range(start, kmax + 1):
-        recruits = _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win)
-        if recruits is not None:
-            plan = _assemble_plan(inst, k, recruits, sig, base, scale, budget, strict_win)
+        plan = _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win)
+        if plan is not None:
             return k, plan
     return None
 

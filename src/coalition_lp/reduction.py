@@ -25,15 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .election import ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, top_two
+from .election import InvalidInput, ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, top_two
 from .exact import CoalitionPlan, ManipulationInstance, verify_stratified_plan
 
 
-class UnknownFamily(Exception):
+class UnknownFamily(InvalidInput):
     pass
 
 
-class ParamOutOfRange(Exception):
+class ParamOutOfRange(InvalidInput):
     pass
 
 
@@ -195,11 +195,10 @@ def q_dual(margins: MarginPair, poly: Polytope2D):
 
 def optimal_vertex_set(margins: MarginPair, poly: Polytope2D) -> tuple:
     """All vertices attaining q_dual (empty when the value is unbounded)."""
+    best = q_dual(margins, poly)
+    if best == math.inf:
+        return ()
     A, B = margins.a_margin, margins.b_deficit
-    for rl, rm in poly.rays:
-        if rl * A + rm * B > 0:
-            return ()
-    best = max(v[0] * A + v[1] * B for v in poly.vertices)
     return tuple(v for v in poly.vertices if _close(v[0] * A + v[1] * B, best))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,17 @@ def test_gw_curve_deterministic_across_threads():
     assert c != a
 
 
+def test_plateau_independent_of_threads():
+    assert plateau_probability(4, 600_000, seed=8, threads=1) == plateau_probability(
+        4, 600_000, seed=8, threads=2)
+
+
+def test_gw_curve_joins_its_workers():
+    before = threading.active_count()
+    gw_curve(limit_model(borda(3)), [0.5, 1.0], 600_000, seed=3, threads=2)
+    assert threading.active_count() == before
+
+
 def test_antiplurality_plateaus():
     m3 = gw_curve(limit_model(antiplurality(3)), [1.0], 400_000, seed=6)
     assert m3.plateau == pytest.approx(0.5, abs=0.005)
@@ -134,8 +146,9 @@ def test_curve_csv_round_trip():
     assert meta == {"rule": "borda", "m": 3, "seed": 1, "samples": 50_000,
                     "plateau": float(f"{curve.plateau:.6f}")}
     assert curve_to_csv(back, "borda", 3, 1) == text
-    with pytest.raises(ValueError):
-        curve_from_csv("v,g\n0.5,0.1\n")
+    for bad in ("v,g\n0.5,0.1\n", "", text.splitlines()[0] + "\n"):
+        with pytest.raises(ValueError):
+            curve_from_csv(bad)
 
 
 def test_dominance_analytic_pairs():
@@ -231,3 +244,6 @@ def test_convergence_csv_round_trip():
     assert meta["trials"] == 5_000
     assert back[0].n == 100
     assert back[0].trials_used == pts[0].trials_used
+    for bad in ("", text.splitlines()[0] + "\n"):
+        with pytest.raises(ValueError):
+            convergence_from_csv(bad)

@@ -151,3 +151,22 @@ def test_malformed_profile_json(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text('{"votes": []}')
     assert main(["exact", "--profile", str(schema), "--rule", "borda"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["polytope", "--rule", "weights:0,1,2", "--m", "3"],
+    ["polytope", "--rule", "weights:1,1,1", "--m", "3"],
+    ["polytope", "--rule", "weights:1,0", "--m", "2"],
+    ["polytope", "--rule", "weights:1,nan,0", "--m", "3"],
+    ["exact", "--profile", "{m9}", "--rule", "borda"],
+    ["gw", "--rule", "borda", "--m", "3", "--grid", "0:inf:0.1"],
+    ["gw", "--rule", "borda", "--m", "3", "--grid", "0:1:1e-9"],
+    ["converge", "--rule", "borda", "--m", "3", "--n-list", "100", "--trials", "0"],
+])
+def test_invalid_input_is_one_line_exit_2(argv, tmp_path, capsys):
+    m9 = tmp_path / "m9.json"
+    m9.write_text('{"m": 9, "votes": []}')
+    assert main([str(m9) if a == "{m9}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
