@@ -49,6 +49,7 @@ class LimitModel:
     scaled_vertices: np.ndarray  # (V, 2) float, already multiplied by scale
     has_ray: bool
     dots: tuple  # vertices optimal on a positive measure of margins
+    dot_rows: tuple  # the rows of scaled_vertices that hold the dots
     diag: tuple  # the diagonal vertex (b_w, b_w) of M_w
     diag_coeff_sq: object  # exact Fraction for rational rules
     c_w: float | None  # set when V_w = c_w * (rho1 - rho2)
@@ -81,6 +82,7 @@ def limit_model(rule: ScoreVector) -> LimitModel:
         scaled_vertices=verts,
         has_ray=bool(poly.rays),
         dots=dots,
+        dot_rows=tuple(poly.vertices.index(v) for v in dots),
         diag=diag,
         diag_coeff_sq=diag_sq,
         c_w=math.sqrt(float(diag_sq)) if is_c_form else None,
@@ -88,16 +90,29 @@ def limit_model(rule: ScoreVector) -> LimitModel:
 
 
 def sample_vw_batch(model: LimitModel, rng, size: int) -> np.ndarray:
-    """Draw `size` independent copies of the limit variable (inf allowed)."""
+    """Draw `size` independent copies of the limit variable (inf allowed).
+
+    Only the cone-optimal vertices are evaluated: every other vertex attains
+    the maximum on a set of margin directions of probability zero, and where
+    it ties a dot the dot gives the same value.
+    """
     z = rng.standard_normal((size, model.m))
     z.sort(axis=1)
     zbar = z.mean(axis=1)
-    return _vertex_max(z[:, -1] - zbar, zbar - z[:, -2], model.scaled_vertices, model.has_ray)
+    dots = model.scaled_vertices[list(model.dot_rows)]
+    return _vertex_max(z[:, -1] - zbar, zbar - z[:, -2], dots, model.has_ray)
 
 
 def _vertex_max(a, b, verts, has_ray):
-    """max over vertices (vx, vy) of a*vx + b*vy, and +inf where b > 0 if M_w has a ray."""
-    vals = np.max(np.outer(a, verts[:, 0]) + np.outer(b, verts[:, 1]), axis=1)
+    """max over vertices (vx, vy) of a*vx + b*vy, and +inf where b > 0 if M_w has a ray.
+
+    A running elementwise maximum, so no (len(a), len(verts)) array is built;
+    max is exact, so the values equal those of the outer-product form.
+    """
+    (vx, vy), *rest = verts
+    vals = a * vx + b * vy
+    for vx, vy in rest:
+        np.maximum(vals, a * vx + b * vy, out=vals)
     if has_ray:
         vals[b > 0] = np.inf
     return vals

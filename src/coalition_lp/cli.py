@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, lp, reduction
-from .election import Profile, parse_rule
+from .election import InvalidInput, Profile, parse_rule
 from .exact import InstanceTooLarge, NotStrictWinner, mcs_outcome
 
 # ValueError covers election.InvalidInput and json.JSONDecodeError.
@@ -151,7 +151,10 @@ def cmd_qvalue(args) -> int:
     parts = args.margins.split(",")
     if len(parts) != 2:
         raise ValueError(f"--margins needs two comma-separated numbers, got {args.margins!r}")
-    a_margin, b_deficit = (Fraction(p.strip()) for p in parts)
+    try:
+        a_margin, b_deficit = (Fraction(p.strip()) for p in parts)
+    except ZeroDivisionError:
+        raise InvalidInput(f"--margins has a zero denominator: {args.margins!r}") from None
     margins = reduction.MarginPair(a_margin, b_deficit)
     poly = reduction.mw_polytope(rule)
     q = reduction.q_dual(margins, poly)

@@ -45,6 +45,11 @@ class ConstantVector(InvalidInput):
     pass
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: int but not bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -126,7 +131,7 @@ def normalize(raw) -> ScoreVector:
 
 
 def borda(m: int) -> ScoreVector:
-    return normalize([Fraction(m - 1 - i, m - 1) for i in range(m)])
+    return normalize(list(range(m - 1, -1, -1)))
 
 
 def k_approval(m: int, k: int) -> ScoreVector:
@@ -170,6 +175,8 @@ def parse_rule(text: str, m: int | None = None) -> ScoreVector:
         for part in parts:
             try:
                 weights.append(Fraction(part.strip()))
+            except ZeroDivisionError:
+                raise InvalidInput(f"weight {part.strip()!r} has a zero denominator") from None
             except ValueError:
                 weights.append(float(part))
         if m is not None and len(weights) != m:
@@ -182,12 +189,17 @@ def parse_rule(text: str, m: int | None = None) -> ScoreVector:
 # Voter types and profiles
 # --------------------------------------------------------------------- #
 
-def all_rankings(m: int) -> tuple:
-    """All voter types for m candidates, in lexicographic order."""
+def _check_m(m: int) -> None:
+    """Reject a candidate count outside 3..MAX_CANDIDATES before m! is touched."""
     if m < 3:
         raise TooFewCandidates(f"need m >= 3, got {m}")
     if m > MAX_CANDIDATES:
         raise MTooLarge(f"m={m} exceeds the exhaustive-enumeration limit {MAX_CANDIDATES}")
+
+
+def all_rankings(m: int) -> tuple:
+    """All voter types for m candidates, in lexicographic order."""
+    _check_m(m)
     return tuple(itertools.permutations(range(m)))
 
 
@@ -212,10 +224,7 @@ class Profile:
     counts: tuple
 
     def __post_init__(self):
-        if self.m < 3:
-            raise TooFewCandidates(f"need m >= 3, got {self.m}")
-        if self.m > MAX_CANDIDATES:
-            raise MTooLarge(f"m={self.m} exceeds the limit {MAX_CANDIDATES}")
+        _check_m(self.m)
         if len(self.counts) != math.factorial(self.m):
             raise ValueError("counts must have length m!")
         if any(c < 0 or c != int(c) for c in self.counts):
@@ -226,6 +235,7 @@ class Profile:
     @classmethod
     def from_counts(cls, m: int, counts) -> "Profile":
         """Build from a mapping {ranking tuple: count}; missing types count 0."""
+        _check_m(m)
         dense = [0] * math.factorial(m)
         for ranking, c in counts.items():
             dense[ranking_index(ranking, m)] += int(c)
@@ -254,14 +264,22 @@ class Profile:
     def from_json(cls, text: str) -> "Profile":
         data = json.loads(text)
         if not isinstance(data, dict) or "m" not in data or "votes" not in data:
-            raise ValueError("profile JSON needs keys 'm' and 'votes'")
-        m = data["m"]
-        if not isinstance(m, int):
-            raise ValueError("'m' must be an integer")
+            raise InvalidInput("profile JSON needs keys 'm' and 'votes'")
+        m, votes = data["m"], data["votes"]
+        if not _is_int(m):
+            raise InvalidInput("'m' must be an integer")
+        if not isinstance(votes, list):
+            raise InvalidInput("'votes' must be a list")
         counts = {}
-        for vote in data["votes"]:
-            ranking = tuple(vote["ranking"])
-            counts[ranking] = counts.get(ranking, 0) + vote["count"]
+        for vote in votes:
+            if not isinstance(vote, dict) or "ranking" not in vote or "count" not in vote:
+                raise InvalidInput(f"each vote needs keys 'ranking' and 'count', got {vote!r}")
+            ranking, count = vote["ranking"], vote["count"]
+            if not isinstance(ranking, list) or not all(map(_is_int, ranking)):
+                raise InvalidInput(f"'ranking' must be a list of integers, got {ranking!r}")
+            if not _is_int(count) or count < 0:
+                raise InvalidInput(f"'count' must be a non-negative integer, got {count!r}")
+            counts[tuple(ranking)] = counts.get(tuple(ranking), 0) + count
         return cls.from_counts(m, counts)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import threading
 from fractions import Fraction
@@ -10,7 +11,7 @@ from coalition_lp.election import (
     antiplurality, borda, k_approval, normalize, plurality, three_candidate,
 )
 from coalition_lp.asymptotics import (
-    GridTooCoarse, Verdict, convergence_experiment, convergence_from_csv,
+    DEFAULT_GRID, GridTooCoarse, Verdict, convergence_experiment, convergence_from_csv,
     convergence_to_csv, curve_from_csv, curve_to_csv, dominates, gap_cdf,
     gw_curve, isotonic, limit_model, plateau_probability, sample_vw,
     sample_vw_batch, vw_from_z,
@@ -69,6 +70,53 @@ def test_scale_equivariance():
     a = sample_vw_batch(model, np.random.default_rng(9), 500)
     b = sample_vw_batch(doubled, np.random.default_rng(9), 500)
     assert np.allclose(b, 2.0 * a)
+
+
+def all_vertex_draws(model, rng, size):
+    """The limit variable with every vertex of the scaled polytope evaluated."""
+    z = rng.standard_normal((size, model.m))
+    z.sort(axis=1)
+    zbar = z.mean(axis=1)
+    a, b = z[:, -1] - zbar, zbar - z[:, -2]
+    verts = model.scaled_vertices
+    vals = np.max(np.outer(a, verts[:, 0]) + np.outer(b, verts[:, 1]), axis=1)
+    if model.has_ray:
+        vals[b > 0] = np.inf
+    return vals
+
+
+@pytest.mark.parametrize("rule", [
+    borda(3), borda(8), plurality(4), normalize([1, 1, Fraction(1, 2), 0]),
+    antiplurality(3), antiplurality(4), three_candidate(Fraction(1, 4)),
+    normalize([1, Fraction(5, 6), Fraction(1, 3), Fraction(1, 4), 0]),
+    normalize([1.0, 0.6, 0.2, 0.0]),
+], ids=str)
+def test_cone_optimal_vertices_give_every_draw(rule):
+    # vertices off the cone-optimal set never change a draw, to the last bit
+    model = limit_model(rule)
+    fast = sample_vw_batch(model, np.random.default_rng(31), 1 << 16)
+    assert np.array_equal(fast, all_vertex_draws(model, np.random.default_rng(31), 1 << 16))
+
+
+# sha256 of curve_to_csv for one full and one partial chunk (2^18 + 20,000
+# draws, seed 17), recorded when every vertex was still evaluated
+PINNED_CURVES = {
+    "weights:1,1,1/2,0": (normalize([1, 1, Fraction(1, 2), 0]),
+                          "8a8fea2442163ff8b73e4d8082f5e149e44832eee52e622f82ba0f8e2500d659"),
+    "antiplurality": (antiplurality(4),
+                      "f755f65d33c10a510eacf9ff2589c7f7690780b1413aea47c8b8308fdb70010e"),
+    "weights:1,3/4,0": (three_candidate(Fraction(1, 4)),
+                        "7e12cd28b9492549d55e19bd00c25e07ef697c5298813c2d4f7d73f1ddf38123"),
+    "weights:1.0,0.6,0.2,0.0": (normalize([1.0, 0.6, 0.2, 0.0]),
+                                "ab4096ea0fd7297807c309505aa0080d50f9833a7591ff31d342e882495a5894"),
+}
+
+
+@pytest.mark.parametrize("label", PINNED_CURVES)
+def test_curve_bytes_are_pinned(label):
+    rule, digest = PINNED_CURVES[label]
+    curve = gw_curve(limit_model(rule), DEFAULT_GRID, (1 << 18) + 20_000, seed=17, threads=2)
+    assert hashlib.sha256(curve_to_csv(curve, label, rule.m, 17).encode()).hexdigest() == digest
 
 
 def test_isotonic_pooling():

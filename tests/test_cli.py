@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coalition_lp import asymptotics, lp
 from coalition_lp.asymptotics import curve_from_csv, convergence_from_csv
@@ -153,6 +155,16 @@ def test_malformed_profile_json(tmp_path):
     assert main(["exact", "--profile", str(schema), "--rule", "borda"]) == 2
 
 
+BAD_PROFILES = {
+    "{m9}": '{"m": 9, "votes": []}',
+    "{count-fraction}": '{"m": 3, "votes": [{"ranking": [0,1,2], "count": 1.5}]}',
+    "{count-bool}": '{"m": 3, "votes": [{"ranking": [0,1,2], "count": true}]}',
+    "{count-string}": '{"m": 3, "votes": [{"ranking": [0,1,2], "count": "3"}]}',
+    "{ranking-int}": '{"m": 3, "votes": [{"ranking": 5, "count": 1}]}',
+    "{votes-int}": '{"m": 3, "votes": 7}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["polytope", "--rule", "weights:0,1,2", "--m", "3"],
     ["polytope", "--rule", "weights:1,1,1", "--m", "3"],
@@ -162,11 +174,114 @@ def test_malformed_profile_json(tmp_path):
     ["gw", "--rule", "borda", "--m", "3", "--grid", "0:inf:0.1"],
     ["gw", "--rule", "borda", "--m", "3", "--grid", "0:1:1e-9"],
     ["converge", "--rule", "borda", "--m", "3", "--n-list", "100", "--trials", "0"],
+    ["exact", "--profile", "{count-fraction}", "--rule", "borda"],
+    ["exact", "--profile", "{count-bool}", "--rule", "borda"],
+    ["exact", "--profile", "{count-string}", "--rule", "borda"],
+    ["exact", "--profile", "{ranking-int}", "--rule", "borda"],
+    ["exact", "--profile", "{votes-int}", "--rule", "borda"],
+    ["qvalue", "--rule", "borda", "--m", "3", "--margins", "1,1/0"],
+    ["polytope", "--rule", "weights:1,1/0,0", "--m", "3"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv, tmp_path, capsys):
-    m9 = tmp_path / "m9.json"
-    m9.write_text('{"m": 9, "votes": []}')
-    assert main([str(m9) if a == "{m9}" else a for a in argv]) == 2
+    files = {}
+    for key, text in BAD_PROFILES.items():
+        files[key] = tmp_path / (key.strip("{}") + ".json")
+        files[key].write_text(text)
+    assert main([str(files[a]) if a in files else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Argument pieces for the fuzz test.  Each strategy draws a well-formed value
+# about half the time, so the fuzz reaches the computations as well as the
+# validation.
+FAMILIES = ("borda", "plurality", "antiplurality", "approval:2", "approval:x", "condorcet")
+GOOD_WEIGHTS = ("1", "3/4", "2/3", "1/2", "0.3", "1e-3", "0")  # decreasing
+NUMBERS = GOOD_WEIGHTS + ("2", "-1", "nan", "inf", "1/0", "x", "")
+GOOD_GRIDS = ("0:2.5:0.05", "0:1:0.25", "1:1:0.5")
+BAD_GRIDS = ("0:1", "2:1:0.1", "0:1:0", "0:inf:1", "a:b:c", "0:1:1e-9")
+GOOD_N_LISTS = ("10,20", "5", "3,7,20")
+BAD_N_LISTS = ("0", "-1,4", "", "a")
+ms = st.sampled_from(["3", "3", "4", "4", "5", "9", "2", "x"])
+seeds = st.integers(0, 3).map(str)
+threads = st.sampled_from(["1", "2"])
+json_junk = st.sampled_from([-1, 1.5, True, "3", None, 7])
+rankings = st.permutations(range(3)).map(list)
+good_votes = st.fixed_dictionaries({"ranking": rankings, "count": st.integers(0, 5)})
+bad_votes = st.fixed_dictionaries({
+    "ranking": st.one_of(rankings, st.sampled_from([5, [0, 1], [0, 1, 1], ["a", 1, 2]])),
+    "count": st.one_of(st.integers(0, 5), json_junk),
+})
+profiles = st.fixed_dictionaries({
+    "m": st.one_of(st.just(3), json_junk),
+    "votes": st.one_of(st.lists(good_votes, min_size=1, max_size=4),
+                       st.lists(bad_votes, max_size=3), json_junk),
+}).map(json.dumps)
+
+
+def either(good, bad):
+    return st.one_of(st.sampled_from(good), st.sampled_from(bad))
+
+
+@st.composite
+def rules(draw, m):
+    """A rule string for --m m: a family, m decreasing weights, or arbitrary weights."""
+    kind = draw(st.sampled_from(["family", "family", "weights", "weights", "junk"]))
+    if kind == "family":
+        return draw(st.sampled_from(FAMILIES))
+    pool = GOOD_WEIGHTS if kind == "weights" else NUMBERS
+    size = int(m) if kind == "weights" and m.isdigit() else draw(st.integers(1, 4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    return "weights:" + ",".join(pool[i] for i in sorted(picks))
+
+
+@st.composite
+def argvs(draw):
+    """(argv, profile JSON or None) for one command of the CLI."""
+    command = draw(st.sampled_from(["polytope", "qvalue", "exact", "gw", "compare", "converge"]))
+    seed = ["--seed", draw(seeds)]
+    if command == "exact":
+        strict = draw(st.sampled_from([[], ["--strict-win"]]))
+        argv = ["exact", "--profile", "{profile}", "--rule", draw(rules("3"))] + strict + seed
+        return argv, draw(profiles)
+    m = draw(ms)
+    if command == "compare":
+        argv = ["compare", "--rule-a", draw(rules(m)), "--rule-b", draw(rules(m)), "--m", m,
+                "--samples", "10000", "--threads", draw(threads)]
+        grid = draw(st.sampled_from([None, *GOOD_GRIDS, *BAD_GRIDS]))
+        return argv + (["--grid", grid] if grid else []) + seed, None
+    argv = [command, "--rule", draw(rules(m)), "--m", m] + seed
+    if command == "polytope":
+        argv += draw(st.sampled_from([[], ["--exact"]]))
+    elif command == "qvalue":
+        size = draw(st.sampled_from([2, 2, 1, 3]))
+        argv += ["--margins", ",".join(draw(st.lists(st.sampled_from(NUMBERS), min_size=size,
+                                                     max_size=size)))]
+    elif command == "gw":
+        argv += ["--grid", draw(either(GOOD_GRIDS, BAD_GRIDS)), "--samples", "10000",
+                 "--threads", draw(threads)]
+    else:
+        argv += ["--n-list", draw(either(GOOD_N_LISTS, BAD_N_LISTS)),
+                 "--trials", str(draw(st.integers(-1, 200))),
+                 "--grid", draw(either(GOOD_GRIDS, BAD_GRIDS)), "--limit-samples", "10000",
+                 "--threads", draw(threads)]
+    return argv, None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=argvs())
+def test_cli_never_raises(case, tmp_path, capsys):
+    argv, profile = case
+    if profile is not None:
+        path = tmp_path / "profile.json"
+        path.write_text(profile)
+        argv = [str(path) if a == "{profile}" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, profile, err)
+    assert "Traceback" not in err, (argv, profile, err)
