@@ -161,14 +161,17 @@ def cmd_qvalue(args) -> int:
     argmax = [] if q == math.inf else [
         [float(x), float(y)] for x, y in reduction.optimal_vertex_set(margins, poly)
     ]
-    payload = {
-        "rule": args.rule,
-        "m": args.m,
-        "margins": {"a_margin": float(a_margin), "b_deficit": float(b_deficit)},
-        "scoreboard_valid": margins.scoreboard_valid(args.m),
-        "q": _num(q),
-        "optimal_vertices": argmax,
-    }
+    try:
+        payload = {
+            "rule": args.rule,
+            "m": args.m,
+            "margins": {"a_margin": float(a_margin), "b_deficit": float(b_deficit)},
+            "scoreboard_valid": margins.scoreboard_valid(args.m),
+            "q": _num(q),
+            "optimal_vertices": argmax,
+        }
+    except OverflowError:
+        raise InvalidInput(f"--margins {args.margins!r}: too large for a float") from None
     _emit(json.dumps(payload), args.out)
     return 0
 

@@ -379,12 +379,13 @@ def _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win
     return rec(0, k, [0] * m)
 
 
-def _search(inst, kmax, budget, strict_win, unrestricted):
-    """Smallest feasible coalition size in [1, kmax] with its plan, else None."""
-    if inst.profile is None:
-        raise ValueError("the exact search needs profile counts")
-    if inst.m > MAX_EXACT_M:
-        raise InstanceTooLarge(f"exact search is limited to m <= {MAX_EXACT_M}")
+def _search(inst, lower, kmax, budget, strict_win, unrestricted):
+    """Smallest feasible size from max(1, ceil(lower)) to kmax with its plan, else None.
+
+    lower is the instance's q3; the caller checks the profile and MAX_EXACT_M.
+    """
+    if lower is math.inf:
+        return None
     scale, sig, base = _integer_tables(inst)
     pool = [(t, inst.count_of(t)) for t in inst.pref_types if inst.count_of(t) > 0]
     if not pool:
@@ -392,9 +393,6 @@ def _search(inst, kmax, budget, strict_win, unrestricted):
     capacity = sum(c for _, c in pool)
     kmax = min(kmax, capacity)
     ballots = all_rankings(inst.m) if unrestricted else inst.first_types
-    lower = q3(inst)
-    if lower is math.inf:
-        return None
     start = max(1, math.ceil(lower))
     for k in range(start, kmax + 1):
         plan = _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win)
@@ -405,8 +403,12 @@ def _search(inst, kmax, budget, strict_win, unrestricted):
 
 def q1(inst: ManipulationInstance, *, strict_win=False, unrestricted=False):
     """Exact minimum coalition size for the instance's target, by integer search."""
+    if inst.profile is None:
+        raise ValueError("the exact search needs profile counts")
+    if inst.m > MAX_EXACT_M:
+        raise InstanceTooLarge(f"exact search is limited to m <= {MAX_EXACT_M}")
     budget = _Budget(NODE_BUDGET)
-    found = _search(inst, 10**9, budget, strict_win, unrestricted)
+    found = _search(inst, q3(inst), 10**9, budget, strict_win, unrestricted)
     return found[0] if found else math.inf
 
 
@@ -430,7 +432,7 @@ def mcs_outcome(profile: Profile, rule: ScoreVector, *, strict_win=False) -> Mcs
     for beta in range(profile.m):
         if beta == a:
             continue
-        inst = ManipulationInstance.from_profile(profile, rule, beta)
+        inst = ManipulationInstance._build(rule, board.scores, a, b, beta, profile)
         bound = q3(inst)
         if bound is not math.inf:
             candidates.append((bound, beta, inst))
@@ -440,7 +442,7 @@ def mcs_outcome(profile: Profile, rule: ScoreVector, *, strict_win=False) -> Mcs
         if best.value is not math.inf and math.ceil(bound) >= best.value:
             continue
         kmax = 10**9 if best.value is math.inf else best.value - 1
-        found = _search(inst, kmax, budget, strict_win, False)
+        found = _search(inst, bound, kmax, budget, strict_win, False)
         if found is not None:
             best = McsOutcome(found[0], beta, found[1])
     return best

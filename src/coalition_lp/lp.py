@@ -1,14 +1,17 @@
 """A small deterministic simplex solver.
 
 Two-phase dense simplex with Bland's rule.  When every coefficient is an int
-or Fraction the whole computation runs in exact rational arithmetic and the
-reported optimum is exact; otherwise floats are used with a pivot tolerance
-of 1e-9 and the optimal point is re-verified against every constraint to a
-relative 1e-8 before being returned.
+or Fraction the solve is exact and runs on integer rows: each tableau row is a
+list of Python ints over one positive int denominator, reduced by their gcd
+after every update.  Every sign test and ratio comparison is the rational one,
+so it takes the same pivots as a Fraction tableau and returns the same
+Fractions, and the optimal point is re-checked against every original row in
+integer arithmetic.  Otherwise floats are used with a pivot tolerance of 1e-9
+and the optimal point is re-verified against every constraint to a relative
+1e-8 before being returned.
 
-The problems solved here are tiny (tens of variables), so clarity and
-reproducibility win over speed: no scaling, no revised simplex, no
-presolve.  Identical inputs always take identical pivots.
+No scaling, no revised simplex, no presolve; identical inputs always take
+identical pivots.
 """
 
 from __future__ import annotations
@@ -89,31 +92,23 @@ class LpOutcome:
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve the program; see the module docstring for guarantees."""
     exact = lp.is_rational
-    if exact:
-        conv = Fraction
-        tol = Fraction(0)
-    else:
-        conv = float
-        tol = PIVOT_TOL
-
+    tol = 0 if exact else PIVOT_TOL
+    zero, one = (0, 1) if exact else (0.0, 1.0)
     minimize = lp.sense == "min"
     n = lp.n_vars
-    cost = [conv(c) if minimize else -conv(c) for c in lp.objective]
 
-    # Rows with non-negative rhs; remember columns as: original | slack/surplus | artificial.
+    # Rows with non-negative rhs; columns are original | slack/surplus | artificial | rhs.
     body = []
     rels = []
-    rhs = []
+    dens = []
     for coeffs, rel, b in lp.rows:
-        coeffs = [conv(x) for x in coeffs]
-        b = conv(b)
-        if b < 0:
-            coeffs = [-x for x in coeffs]
-            b = -b
+        row, den = _scaled((*coeffs, b), exact)
+        if row[-1] < 0:
+            row = [-x for x in row]
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        body.append(coeffs)
+        body.append(row)
         rels.append(rel)
-        rhs.append(b)
+        dens.append(den)
 
     nrows = len(body)
     slack_of = [None] * nrows
@@ -129,16 +124,16 @@ def solve(lp: LinearProgram) -> LpOutcome:
             art_of[i] = ncols
             ncols += 1
 
-    zero = conv(0)
-    one = conv(1)
+    # Row i stands for tableau[i] / dens[i] (float dens stay 1.0); after the
+    # nrows constraints, tableau[-1] is the cost row of the current phase.
     tableau = []
     basis = []
     for i in range(nrows):
-        row = body[i] + [zero] * (ncols - n) + [rhs[i]]
+        row = body[i][:n] + [zero] * (ncols - n) + body[i][n:]
         if slack_of[i] is not None:
-            row[slack_of[i]] = one if rels[i] == "<=" else -one
+            row[slack_of[i]] = dens[i] if rels[i] == "<=" else -dens[i]
         if art_of[i] is not None:
-            row[art_of[i]] = one
+            row[art_of[i]] = dens[i]
             basis.append(art_of[i])
         else:
             basis.append(slack_of[i])
@@ -146,102 +141,134 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     pivots_left = [MAX_PIVOTS]
 
-    def run(cost_row, allowed):
-        """Bland-rule iterations; returns 'optimal' or 'unbounded'."""
+    def run(allowed):
+        """Bland-rule iterations on tableau[-1]; returns 'optimal' or 'unbounded'."""
         while True:
+            cost_row = tableau[-1]
             entering = -1
             for j in range(allowed):
-                if j not in basis and cost_row[j] < -tol:
+                if cost_row[j] < -tol and j not in basis:
                     entering = j
                     break
             if entering < 0:
                 return "optimal"
             leaving = -1
-            best = None
             for i in range(nrows):
                 a = tableau[i][entering]
                 if a > tol:
-                    ratio = tableau[i][-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = i
+                    if leaving >= 0:
+                        # rhs_i / a against the best ratio so far; exact rows
+                        # compare by cross-multiplication, where dens cancel
+                        c = tableau[leaving][entering]
+                        if exact:
+                            ratio, best = tableau[i][-1] * c, tableau[leaving][-1] * a
+                        else:
+                            ratio, best = tableau[i][-1] / a, tableau[leaving][-1] / c
+                        if not (ratio < best or (ratio == best and basis[i] < basis[leaving])):
+                            continue
+                    leaving = i
             if leaving < 0:
                 return "unbounded"
             pivots_left[0] -= 1
             if pivots_left[0] < 0:
                 raise NumericalFailure("pivot budget exhausted; possible cycling")
-            _pivot(tableau, cost_row, basis, leaving, entering, tol)
+            _pivot(tableau, dens, basis, leaving, entering, exact)
 
     # Phase 1: minimize the sum of artificials.
     if art_base < ncols:
-        cost1 = [zero] * ncols + [zero]
-        for j in range(art_base, ncols):
-            cost1[j] = one
+        tableau.append([zero] * art_base + [one] * (ncols - art_base) + [zero])
+        dens.append(one)
         for i in range(nrows):
             if basis[i] >= art_base:
-                cost1 = [cj - ai for cj, ai in zip(cost1, tableau[i])]
-        status = run(cost1, ncols)
+                _eliminate(tableau, dens, nrows, i, basis[i], exact)
+        status = run(ncols)
         if status != "optimal":
             raise NumericalFailure("phase 1 reported unbounded")
-        infeas = -cost1[-1]
-        if infeas > (0 if exact else FEAS_TOL):
+        if -tableau[-1][-1] > (0 if exact else FEAS_TOL):
             return _non_optimal(LpStatus.INFEASIBLE, minimize)
         # Drive leftover artificials out of the basis; drop redundant rows.
-        pivot_floor = 0 if exact else PIVOT_TOL
         for i in range(nrows - 1, -1, -1):
             if basis[i] >= art_base:
                 entering = -1
                 for j in range(art_base):
-                    if abs(tableau[i][j]) > pivot_floor:
+                    if abs(tableau[i][j]) > tol:
                         entering = j
                         break
                 if entering >= 0:
-                    _pivot(tableau, cost1, basis, i, entering, tol)
+                    _pivot(tableau, dens, basis, i, entering, exact)
                 else:
                     del tableau[i]
+                    del dens[i]
                     del basis[i]
                     nrows -= 1
+        tableau.pop()
+        dens.pop()
 
     # Phase 2 over the original columns only.
-    cost2 = [zero] * art_base + [zero]
-    for j in range(n):
-        cost2[j] = cost[j]
+    cost, cost_den = _scaled(lp.objective, exact)
+    if not minimize:
+        cost = [-c for c in cost]
+    tableau[:] = [row[:art_base] + [row[-1]] for row in tableau]
+    tableau.append(cost + [zero] * (art_base - n) + [zero])
+    dens.append(cost_den)
     for i in range(nrows):
-        tableau[i] = tableau[i][:art_base] + [tableau[i][-1]]
-        if cost2[basis[i]] != 0:
-            coef = cost2[basis[i]]
-            cost2 = [cj - coef * ai for cj, ai in zip(cost2, tableau[i])]
-    status = run(cost2, art_base)
+        _eliminate(tableau, dens, nrows, i, basis[i], exact)
+    status = run(art_base)
     if status == "unbounded":
         return _non_optimal(LpStatus.UNBOUNDED, minimize)
 
-    point = [zero] * n
+    point = [Fraction(0) if exact else zero] * n
     for i in range(nrows):
         if basis[i] < n:
-            point[basis[i]] = tableau[i][-1]
-    value = sum(c * x for c, x in zip(cost, point))
+            point[basis[i]] = Fraction(tableau[i][-1], dens[i]) if exact else tableau[i][-1]
+    value = sum(c * x for c, x in zip(cost, point)) / cost_den
     if not minimize:
         value = -value
     _verify_feasible(lp, point, exact)
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(point))
 
 
-def _pivot(tableau, cost_row, basis, leaving, entering, tol):
+def _scaled(values, exact):
+    """Exact values as ints over their common denominator, with it; floats with 1.0."""
+    if not exact:
+        return [float(v) for v in values], 1.0
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _pivot(tableau, dens, basis, leaving, entering, exact):
+    """Scale row `leaving` to a 1 in column `entering` and clear that column elsewhere."""
     piv = tableau[leaving][entering]
-    inv = 1 / piv if isinstance(piv, Fraction) else 1.0 / piv
-    tableau[leaving] = [x * inv for x in tableau[leaving]]
-    prow = tableau[leaving]
-    for i, row in enumerate(tableau):
-        if i != leaving and row[entering] != 0:
-            f = row[entering]
-            tableau[i] = [x - f * p for x, p in zip(row, prow)]
-    if cost_row[entering] != 0:
-        f = cost_row[entering]
-        for j in range(len(cost_row)):
-            cost_row[j] -= f * prow[j]
+    if not exact:
+        inv = 1.0 / piv
+        tableau[leaving] = [x * inv for x in tableau[leaving]]
+    else:
+        # the row over piv: its entries keep the sign, |piv| is the new denominator
+        row = tableau[leaving] if piv > 0 else [-x for x in tableau[leaving]]
+        tableau[leaving], dens[leaving] = _reduced(row, abs(piv))
+    for i in range(len(tableau)):
+        if i != leaving:
+            _eliminate(tableau, dens, i, leaving, entering, exact)
     basis[leaving] = entering
+
+
+def _eliminate(tableau, dens, i, r, e, exact):
+    """Subtract from row i the multiple of row r that clears column e; row r is 1 there."""
+    f = tableau[i][e]
+    if f == 0:
+        return
+    if not exact:
+        tableau[i] = [x - f * p for x, p in zip(tableau[i], tableau[r])]
+    else:
+        # (d_r * T_i - T_i[e] * T_r) / (d_i * d_r), where T_r[e] == d_r
+        d = dens[r]
+        row = [d * x - f * p for x, p in zip(tableau[i], tableau[r])]
+        tableau[i], dens[i] = _reduced(row, dens[i] * d)
+
+
+def _reduced(row, den):
+    g = math.gcd(*row, den)
+    return (row, den) if g == 1 else ([x // g for x in row], den // g)
 
 
 def _non_optimal(status: LpStatus, minimize: bool) -> LpOutcome:
@@ -253,15 +280,19 @@ def _non_optimal(status: LpStatus, minimize: bool) -> LpOutcome:
 
 
 def _verify_feasible(lp: LinearProgram, point, exact: bool):
-    """Re-check the reported point against every original constraint."""
+    """Re-check the reported point against every original constraint.
+
+    Exact mode scales the point by the lcm of its denominators and each row by
+    its own, so the check is integer arithmetic with no slack.
+    """
+    xs, scale = _scaled(point, exact)
     for coeffs, rel, b in lp.rows:
-        lhs = sum(c * x for c, x in zip(coeffs, point))
-        if exact:
-            ok = (lhs <= b) if rel == "<=" else (lhs >= b) if rel == ">=" else lhs == b
-        else:
-            slack = FEAS_TOL * (1.0 + abs(float(b)))
-            d = float(lhs) - float(b)
-            ok = (d <= slack) if rel == "<=" else (d >= -slack) if rel == ">=" else abs(d) <= slack
+        row, _ = _scaled((*coeffs, b), exact)
+        lhs = sum(c * x for c, x in zip(row, xs))
+        rhs = row[-1] * scale
+        slack = 0 if exact else FEAS_TOL * (1.0 + abs(rhs))
+        d = lhs - rhs
+        ok = (d <= slack) if rel == "<=" else (d >= -slack) if rel == ">=" else abs(d) <= slack
         if not ok:
             raise NumericalFailure(f"optimal point violates {coeffs} {rel} {b}")
     for x in point:

@@ -181,6 +181,8 @@ BAD_PROFILES = {
     ["exact", "--profile", "{votes-int}", "--rule", "borda"],
     ["qvalue", "--rule", "borda", "--m", "3", "--margins", "1,1/0"],
     ["polytope", "--rule", "weights:1,1/0,0", "--m", "3"],
+    ["qvalue", "--rule", "borda", "--m", "3", "--margins", "1e400,1"],
+    ["qvalue", "--rule", "borda", "--m", "3", "--margins", "1e308,1e308"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv, tmp_path, capsys):
     files = {}

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coalition_lp import exact
 from coalition_lp.election import (
     Profile, antiplurality, borda, plurality, sample_ic, scoreboard, top_two,
 )
@@ -195,6 +196,24 @@ def test_search_agrees_with_per_target_minimum():
         ]
         assert mcs_exact(prof, rule) == min(per_target)
         checked += 1
+
+
+def test_mcs_outcome_solves_each_bound_once(monkeypatch):
+    calls = {"q3": 0, "scoreboard": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    prof = sample_ic(50, 4, (9, 50, 0))
+    rule = borda(4)
+    expected = mcs_outcome(prof, rule)
+    monkeypatch.setattr(exact, "q3", counted("q3", exact.q3))
+    monkeypatch.setattr(exact, "scoreboard", counted("scoreboard", exact.scoreboard))
+    assert mcs_outcome(prof, rule) == expected
+    assert calls == {"q3": 3, "scoreboard": 1}
 
 
 def test_strict_win_needs_no_fewer_voters():

@@ -1,11 +1,17 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from coalition_lp import lp
+from coalition_lp.election import parse_rule, sample_ic, scoreboard, top_two
+from coalition_lp.exact import ManipulationInstance, q2, q3, q_program2
 from coalition_lp.lp import (
     DimensionMismatch, LinearProgram, LpStatus, StatusMismatch, dual_gap_check, solve,
 )
+from coalition_lp.reduction import MarginPair, q_stratified
 from oracles import enumerate_lp
 
 
@@ -110,6 +116,101 @@ def test_exact_matches_float():
             assert float(out_q.value) == pytest.approx(out_f.value, abs=1e-7)
 
 
+def _random_fraction_program(rng):
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6]))
+
+    n = rng.choice([2, 3])
+    rows = tuple(
+        (tuple(q() for _ in range(n)), rng.choice(["<=", ">=", "="]), q())
+        for _ in range(rng.randint(2, 5))
+    )
+    return LinearProgram(tuple(q() for _ in range(n)), rng.choice(["min", "max"]), rows)
+
+
+def test_exact_fraction_programs_match_float_and_enumeration():
+    rng = random.Random(4111)
+    for _ in range(150):
+        prog = _random_fraction_program(rng)
+        out_q = solve(prog)
+        out_f = solve(LinearProgram(
+            tuple(float(c) for c in prog.objective),
+            prog.sense,
+            tuple((tuple(float(c) for c in coeffs), rel, float(rhs))
+                  for coeffs, rel, rhs in prog.rows),
+        ))
+        status, value = enumerate_lp(prog.objective, prog.sense, prog.rows)
+        assert STATUS_NAMES[out_q.status] == status, prog
+        assert out_f.status is out_q.status, prog
+        if status == "optimal":
+            assert isinstance(out_q.value, Fraction)
+            assert all(isinstance(x, Fraction) for x in out_q.point)
+            assert out_q.value == sum(c * x for c, x in zip(prog.objective, out_q.point))
+            assert float(out_q.value) == pytest.approx(value, abs=1e-7), prog
+            assert float(out_q.value) == pytest.approx(out_f.value, abs=1e-7), prog
+
+
+def _check_exact(prog, status, value=None, point=None):
+    """Solve prog; check the hand-derived answer and the enumeration oracle agree with it."""
+    out = solve(prog)
+    oracle_status, oracle_value = enumerate_lp(prog.objective, prog.sense, prog.rows)
+    assert out.status is status and oracle_status == STATUS_NAMES[status]
+    if status is LpStatus.OPTIMAL:
+        assert type(out.value) is Fraction and out.value == value
+        assert all(type(x) is Fraction for x in out.point) and out.point == point
+        assert oracle_value == pytest.approx(value)
+    else:
+        assert out.point is None
+    return out
+
+
+def test_exact_redundant_equality_row():
+    # The second row is half the first.  Phase 1 enters x, both ratios are 2 and
+    # the tie goes to the first artificial; the second artificial stays basic at
+    # 0 with zeros in every original column, so its row is dropped.
+    prog = LinearProgram(
+        (1, 1), "min", (((1, 1), "=", 2), ((Fraction(1, 2), Fraction(1, 2)), "=", 1)),
+    )
+    _check_exact(prog, LpStatus.OPTIMAL, Fraction(2), (Fraction(2), Fraction(0)))
+
+
+def test_exact_drive_out_pivots_on_a_negative_entry():
+    # z = x, y = 0 and x >= 1/2, so min -x + 2z = x is 1/2 at (1/2, 0, 1/2).
+    # Phase 1 ends with the first artificial basic at 0, and the first nonzero
+    # original entry of its row is y's -1/3: the drive-out pivot is negative.
+    prog = LinearProgram((-1, 0, 2), "min", (
+        ((Fraction(-1, 2), 0, Fraction(1, 2)), "=", 0),
+        ((Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 3)), ">=", 0),
+        ((2, 2, 0), ">=", 1),
+    ))
+    _check_exact(prog, LpStatus.OPTIMAL, Fraction(1, 2),
+                 (Fraction(1, 2), Fraction(0), Fraction(1, 2)))
+
+
+def test_exact_infeasible_and_unbounded():
+    infeasible = LinearProgram((Fraction(1, 3), 1), "min", (
+        ((Fraction(1, 2), Fraction(1, 2)), "<=", Fraction(1, 4)),
+        ((1, 1), ">=", Fraction(3, 4)),
+    ))
+    assert _check_exact(infeasible, LpStatus.INFEASIBLE).value == math.inf
+    # x = 2t, y = 3t stays feasible for every t >= 0 and the objective grows by 2t.
+    unbounded = LinearProgram((Fraction(1, 2), Fraction(1, 3)), "max", (
+        ((1, Fraction(-2, 3)), "<=", Fraction(1, 3)),
+        ((Fraction(1, 2), -1), "<=", Fraction(5, 7)),
+    ))
+    assert _check_exact(unbounded, LpStatus.UNBOUNDED).value == math.inf
+
+
+def test_exact_max_with_fraction_coefficients_and_negative_rhs():
+    # x + y <= 3/2 and x <= 1, written with negative right-hand sides; the
+    # vertices (1, 0), (1, 1/2) and (0, 3/2) give 1/2, 2/3 and 1/2.
+    prog = LinearProgram((Fraction(1, 2), Fraction(1, 3)), "max", (
+        ((-1, -1), ">=", Fraction(-3, 2)),
+        ((-1, 0), ">=", -1),
+    ))
+    _check_exact(prog, LpStatus.OPTIMAL, Fraction(2, 3), (Fraction(1), Fraction(1, 2)))
+
+
 def test_rhs_scaling():
     rows = (((1, 2), ">=", 3), ((2, 1), ">=", 3))
     base = solve(LinearProgram((1, 1), "min", rows))
@@ -135,3 +236,74 @@ def test_dual_gap_infeasible_unbounded_pair():
     infeasible = LinearProgram((1, 1), "min", (((1, 1), "<=", -1),))
     unbounded = LinearProgram((1, 1), "max", (((1, -1), "<=", 0),))
     assert dual_gap_check(infeasible, unbounded) == 0
+
+
+# Every test above whose programs are exact; the pinned digest below replays them.
+EXACT_PROGRAM_TESTS = (
+    test_minimal_cover, test_infeasible, test_unbounded_max, test_equality_row,
+    test_dual_polytope_vertex, test_against_enumeration, test_exact_matches_float,
+    test_exact_fraction_programs_match_float_and_enumeration,
+    test_exact_redundant_equality_row, test_exact_drive_out_pivots_on_a_negative_entry,
+    test_exact_infeasible_and_unbounded,
+    test_exact_max_with_fraction_coefficients_and_negative_rhs, test_rhs_scaling,
+    test_dual_gap_on_a_pair, test_dual_gap_rejects_mismatch,
+    test_dual_gap_infeasible_unbounded_pair,
+)
+PINNED_RULES = ("plurality", "borda", "approval:2", "antiplurality", "weights:1,1,1/2,0")
+
+
+def _solve_the_bounds():
+    """q3, q2 (slack 1), q_program2 and q_stratified on small IC profiles, m = 3..6.
+
+    q3 and q2 run for every non-winner target at m <= 4, q2 only for the
+    runner-up at m = 5, and neither q2 nor the other targets at m = 6, where one
+    q2 has 360 bound rows and takes seconds in exact arithmetic.
+    """
+    for m, n, profiles in ((3, 12, 2), (4, 20, 2), (5, 30, 1), (6, 40, 1)):
+        for text in PINNED_RULES:
+            if text.startswith("weights:") and m != 4:
+                continue
+            rule = parse_rule(text, m)
+            for i in range(profiles):
+                profile = sample_ic(n, m, (31, m, i))
+                board = scoreboard(profile, rule)
+                a, b, strict = top_two(board)
+                if not strict:
+                    continue
+                for beta in range(m):
+                    if beta == a or (m == 6 and beta != b):
+                        continue
+                    inst = ManipulationInstance.from_profile(profile, rule, beta)
+                    q3(inst)
+                    if m <= 4 or (m == 5 and beta == b):
+                        q2(inst, 1)
+                q_program2(profile, rule)
+                q_stratified(MarginPair.from_scoreboard(board), rule)
+
+
+PINNED_EXACT_SOLVES = (825, "94e46b3d6b61d7ee681ad5e6d95a92c423ca5f5f03eeb0e0abcc820bc98e9ed9")
+
+
+def test_exact_pivots_are_pinned(monkeypatch):
+    """Every exact solve of the tests above and of the bound corpus, hashed.
+
+    The digest of repr((status, value, point)) over all of them was recorded
+    before the exact tableau moved from Fraction entries to integer rows, so
+    it pins the pivot path, not just the optimal values.
+    """
+    seen = []
+
+    def recording(program):
+        out = real_solve(program)
+        if program.is_rational:
+            seen.append(repr((out.status, out.value, out.point)))
+        return out
+
+    real_solve = lp.solve
+    monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setitem(globals(), "solve", recording)
+    for test in EXACT_PROGRAM_TESTS:
+        test()
+    _solve_the_bounds()
+    digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+    assert (len(seen), digest) == PINNED_EXACT_SOLVES
