@@ -179,13 +179,19 @@ def isotonic(values):
 
 
 def resolve_threads(threads=None) -> int:
+    """threads, else COALITION_LP_THREADS, else the core count; a count below 1 is refused."""
     import os
 
     if threads is not None:
-        return max(1, int(threads))
+        threads = int(threads)
+        if threads < 1:
+            raise InvalidInput(f"threads must be at least 1, got {threads}")
+        return threads
     env = os.environ.get("COALITION_LP_THREADS")
     if env:
-        return max(1, int(env))
+        if not env.strip().isdigit() or int(env) < 1:
+            raise InvalidInput(f"COALITION_LP_THREADS must be a positive integer, got {env!r}")
+        return int(env)
     return os.cpu_count() or 1
 
 

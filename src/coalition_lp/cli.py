@@ -245,10 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args):
+    """Reject a negative --seed or a --threads below 1 before any work starts."""
+    if args.seed < 0:
+        raise InvalidInput(f"--seed must be non-negative, got {args.seed}")
+    threads = getattr(args, "threads", None)
+    if threads is not None and threads < 1:
+        raise InvalidInput(f"--threads must be at least 1, got {threads}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

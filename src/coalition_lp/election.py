@@ -314,14 +314,28 @@ class Scoreboard:
         return sum(self.scores) / self.m
 
 
+def integer_weights(rule: ScoreVector):
+    """(scale, ints) for a rational rule: the lcm of the weight denominators and w[pos] * scale."""
+    weights = [Fraction(w) for w in rule.weights]
+    scale = math.lcm(*(w.denominator for w in weights))
+    return scale, [int(w * scale) for w in weights]
+
+
 def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
+    """Candidate totals; a rational rule's are summed in ints over the weights' common denominator."""
     if rule.m != profile.m:
         raise ValueError("rule and profile must share m")
-    zero = Fraction(0) if rule.is_rational else 0.0
-    scores = [zero] * profile.m
+    if rule.is_rational:
+        scale, weights = integer_weights(rule)
+        scores = [0] * profile.m
+    else:
+        scale, weights = None, rule.weights
+        scores = [0.0] * profile.m
     for ranking, c in profile.items():
         for pos, cand in enumerate(ranking):
-            scores[cand] += c * rule.weights[pos]
+            scores[cand] += c * weights[pos]
+    if scale is not None:
+        scores = [Fraction(s, scale) for s in scores]
     return Scoreboard(tuple(scores), profile.n)
 
 

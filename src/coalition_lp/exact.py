@@ -25,10 +25,10 @@ from .election import (
     ScoreVector,
     Scoreboard,
     all_rankings,
+    integer_weights,
     scoreboard,
     sigma,
     top_two,
-    _is_exact,
 )
 
 
@@ -132,9 +132,7 @@ class ManipulationInstance:
 
     @property
     def mean_score(self):
-        if all(_is_exact(s) for s in self.scores):
-            return Fraction(sum(self.scores), self.m)
-        return sum(self.scores) / self.m
+        return Scoreboard(self.scores, 0).mean
 
     def count_of(self, ranking) -> int:
         from .election import ranking_index
@@ -220,15 +218,18 @@ def _coalition_lp(inst, xs, upper_slack=None) -> lp.LinearProgram:
 
     upper_slack=K adds the shrunk recruitment bounds x_t <= N_t - K.
     """
-    w = inst.rule
+    w = inst.rule.weights
+    gain = [[-(wi - wj) for wj in w] for wi in w]  # gain[i][j]: beta in place i, alpha in j
+    lift = [1 - wj for wj in w]
     ys = inst.first_types
     nx, ny = len(xs), len(ys)
+    beta_at = [t.index(inst.beta) for t in xs]
     rows = []
     for alpha in range(inst.m):
         if alpha == inst.beta:
             continue
-        coeffs = [-(sigma(t, inst.beta, w) - sigma(t, alpha, w)) for t in xs]
-        coeffs += [1 - sigma(t, alpha, w) for t in ys]
+        coeffs = [gain[i][t.index(alpha)] for i, t in zip(beta_at, xs)]
+        coeffs += [lift[t.index(alpha)] for t in ys]
         rows.append((tuple(coeffs), ">=", inst.scores[alpha] - inst.scores[inst.beta]))
     rows.append((tuple([-1] * nx + [1] * ny), "=", 0))
     if upper_slack is not None:
@@ -280,8 +281,7 @@ def _integer_tables(inst):
     w = inst.rule
     if not w.is_rational:
         raise ValueError("the exact search needs a rational rule")
-    scale = math.lcm(*(Fraction(x).denominator for x in w.weights))
-    weights = [int(Fraction(x) * scale) for x in w.weights]
+    scale, weights = integer_weights(w)
     types = all_rankings(inst.m)
     sig = {}
     for t in types:

@@ -162,6 +162,7 @@ BAD_PROFILES = {
     "{count-string}": '{"m": 3, "votes": [{"ranking": [0,1,2], "count": "3"}]}',
     "{ranking-int}": '{"m": 3, "votes": [{"ranking": 5, "count": 1}]}',
     "{votes-int}": '{"m": 3, "votes": 7}',
+    "{good}": '{"m": 3, "votes": [{"ranking": [0,1,2], "count": 2}, {"ranking": [1,0,2], "count": 1}]}',  # valid; its case has a bad --seed
 }
 
 
@@ -183,16 +184,31 @@ BAD_PROFILES = {
     ["polytope", "--rule", "weights:1,1/0,0", "--m", "3"],
     ["qvalue", "--rule", "borda", "--m", "3", "--margins", "1e400,1"],
     ["qvalue", "--rule", "borda", "--m", "3", "--margins", "1e308,1e308"],
+    ["gw", "--rule", "borda", "--m", "3", "--samples", "20000", "--threads", "0"],
+    ["compare", "--rule-a", "borda", "--rule-b", "plurality", "--m", "3", "--threads", "-1"],
+    ["gw", "--rule", "borda", "--m", "3", "--samples", "20000", "COALITION_LP_THREADS=abc"],
+    ["gw", "--rule", "borda", "--m", "3", "--samples", "20000", "COALITION_LP_THREADS=0"],
+    ["gw", "--rule", "borda", "--m", "3", "--samples", "20000", "--seed", "-1"],
+    ["polytope", "--rule", "borda", "--m", "3", "--seed", "-1"],
+    ["qvalue", "--rule", "borda", "--m", "3", "--margins", "1,2", "--seed", "-1"],
+    ["exact", "--profile", "{good}", "--rule", "borda", "--seed", "-1"],
 ])
-def test_invalid_input_is_one_line_exit_2(argv, tmp_path, capsys):
+def test_invalid_input_is_one_line_exit_2(argv, tmp_path, capsys, monkeypatch):
     files = {}
     for key, text in BAD_PROFILES.items():
         files[key] = tmp_path / (key.strip("{}") + ".json")
         files[key].write_text(text)
+    env = [a for a in argv if a.startswith("COALITION_LP_THREADS=")]
+    for a in env:
+        monkeypatch.setenv("COALITION_LP_THREADS", a.split("=", 1)[1])
+    flags = [a for a in argv if a.startswith("--")] + [a.split("=")[0] for a in env]
+    argv = [a for a in argv if a not in env]
     assert main([str(files[a]) if a in files else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for name in ("--seed", "--threads", "COALITION_LP_THREADS"):
+        assert name in captured.err or name not in flags
 
 
 # Argument pieces for the fuzz test.  Each strategy draws a well-formed value

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalition_lp.election import (
-    ConstantVector, MTooLarge, NotMonotone, Profile, TooFewCandidates,
+    ConstantVector, MTooLarge, NotMonotone, Profile, ScoreVector, TooFewCandidates,
     all_rankings, antiplurality, borda, k_approval, normalize, parse_rule,
     plurality, ranking_index, sample_ic, sample_scoreboards, scoreboard,
     three_candidate, top_two,
 )
+from coalition_lp.exact import ManipulationInstance, _coalition_lp
 
 
 def test_normalize_is_affine_invariant():
@@ -160,3 +162,71 @@ def test_first_place_ties_thin_out():
         rates.append(ties / 300)
     assert rates[0] >= rates[1] >= rates[2]
     assert rates[2] < 0.05
+
+
+@st.composite
+def rational_weights(draw, m):
+    """m non-increasing rational weights, ints and Fractions mixed, not normalized."""
+    weight = st.one_of(st.integers(0, 5), st.fractions(0, 5, max_denominator=24))
+    return ScoreVector(tuple(sorted(draw(st.lists(weight, min_size=m, max_size=m)), reverse=True)))
+
+
+@given(st.integers(3, 5).flatmap(lambda m: st.tuples(profiles(m), rational_weights(m))))
+@settings(max_examples=60, deadline=None)
+def test_rational_scoreboard_is_the_fraction_sum(case):
+    prof, rule = case
+    naive = [Fraction(0)] * prof.m
+    for ranking, c in prof.items():
+        for pos, cand in enumerate(ranking):
+            naive[cand] += c * Fraction(rule.weights[pos])
+    board = scoreboard(prof, rule)
+    assert board.scores == tuple(naive)
+    assert all(type(s) is Fraction for s in board.scores)
+
+
+def _pinned_rules(m):
+    """Plurality, Borda, 2-approval, anti-plurality, non-unit denominators, a float rule."""
+    tail = ("3/4", "1/3", "1/5", "1/7")[: m - 2]
+    return (
+        plurality(m), borda(m), k_approval(m, 2), antiplurality(m),
+        parse_rule("weights:" + ",".join(("1", *tail, "0")), m),
+        normalize([math.sqrt(m - 1 - pos) for pos in range(m)]),
+    )
+
+
+PINNED_BOARDS_AND_ROWS = (756, "e0c2a92d37f8bb037894a2c1a58b2f72684bdd159159c7fb00846fe3239b967a")
+
+
+def test_scoreboards_and_rows_are_pinned():
+    """repr of every scoreboard and coalition program over an IC corpus, hashed.
+
+    The digest was recorded while scoreboards were summed in Fractions and the
+    program rows built from sigma(), so it pins the exact values and their
+    types (Fraction, int or float) of both.  Programs: the q3 pool for every
+    non-winner target, and for the runner-up the stratified pool and (m <= 5)
+    the q3 pool with recruitment bounds shrunk by 1; at m = 6 that program has
+    360 bound rows of 480 entries and hashing it takes seconds.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for m in (3, 4, 5, 6):
+        for n in (7, 50, 1000):
+            for i in range(2):
+                profile = sample_ic(n, m, (47, m, n, i))
+                for rule in _pinned_rules(m):
+                    board = scoreboard(profile, rule)
+                    digest.update(repr(board).encode())
+                    a, b, _ = top_two(board)
+                    for beta in range(m):
+                        if beta == a:
+                            continue
+                        inst = ManipulationInstance._build(rule, board.scores, a, b, beta, profile)
+                        programs = [_coalition_lp(inst, inst.pref_types)]
+                        if beta == b:
+                            programs.append(_coalition_lp(inst, inst.ba_types))
+                        if beta == b and m <= 5:
+                            programs.append(_coalition_lp(inst, inst.pref_types, upper_slack=1))
+                        for program in programs:
+                            digest.update(repr(program).encode())
+                            count += 1
+    assert (count, digest.hexdigest()) == PINNED_BOARDS_AND_ROWS
