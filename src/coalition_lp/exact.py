@@ -11,6 +11,16 @@ Three routes to a value live here:
 * q1 / mcs_exact: exhaustive integer search (the ground truth, m <= 4);
 * q2 / q3: the LP relaxations with shrunk or dropped recruitment bounds;
 * q_program2: the LP over the adjacent strata of the runner-up only.
+
+The search tries coalition sizes k upward from ceil(q3).  At each k it walks
+recruit multisets depth first and, at each leaf, looks for k target-first
+ballots that fit every candidate's cap.  Every node checks a score bound
+first: if even the most helpful recruits still to come, followed by the
+least loading ballots, leave some candidate (or all of them together) over
+their cap, the subtree is cut.  Only subtrees without a working leaf are
+cut, so the plan found is the one the uncut search finds, in far fewer
+nodes.  A search that still exceeds NODE_BUDGET raises InstanceTooLarge
+naming the target, the size and the nodes spent.
 """
 
 from __future__ import annotations
@@ -18,16 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import lp
 from .election import (
     Profile,
     ScoreVector,
     Scoreboard,
+    _is_exact,
     all_rankings,
     integer_weights,
     scoreboard,
-    sigma,
     top_two,
 )
 
@@ -177,19 +188,29 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
             got = sum(plan.x.get(t, 0) for t in stratum)
             if abs(got - strata_z[i]) > tol:
                 issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
-    w = inst.rule
+    # an exact plan is scored in ints: weights and amounts each over their common denominator
+    amounts = (*plan.x.values(), *plan.y.values())
+    exact = inst.rule.is_rational and all(map(_is_exact, amounts))
+    if exact:
+        scale, weights = integer_weights(inst.rule)
+        den = math.lcm(1, *(a.denominator for a in amounts))
+        x, y = ({t: a.numerator * (den // a.denominator) for t, a in part.items()}
+                for part in (plan.x, plan.y))
+        unit = scale * den
+    else:
+        scale, weights, unit, x, y = 1, inst.rule.weights, 1, plan.x, plan.y
+    rows = {t: _score_row(t, weights) for t in {*x, *y}}
     target = inst.beta
     for alpha in range(inst.m):
         if alpha == target:
             continue
-        lhs = sum(amt * (1 - sigma(t, alpha, w)) for t, amt in plan.y.items())
-        lhs -= sum(
-            amt * (sigma(t, target, w) - sigma(t, alpha, w)) for t, amt in plan.x.items()
-        )
+        lhs = sum(amt * (scale - rows[t][alpha]) for t, amt in y.items())
+        lhs -= sum(amt * (rows[t][target] - rows[t][alpha]) for t, amt in x.items())
         rhs = inst.scores[alpha] - inst.scores[target]
         # compare the difference so exact inputs are never coerced to float
-        if lhs - rhs < -tol:
-            issues.append(f"candidate {alpha} stays ahead: {lhs} < {rhs}")
+        if lhs - rhs * unit < -tol * unit:
+            shown = Fraction(lhs, unit) if exact else lhs
+            issues.append(f"candidate {alpha} stays ahead: {shown} < {rhs}")
     return issues
 
 
@@ -276,33 +297,35 @@ def q_program2(profile: Profile, rule: ScoreVector):
 # Exhaustive integer search
 # --------------------------------------------------------------------- #
 
+def _score_row(ranking, weights):
+    """Per-candidate scores of one ballot: weights[pos] for the candidate in place pos."""
+    row = [0] * len(ranking)
+    for pos, cand in enumerate(ranking):
+        row[cand] = weights[pos]
+    return tuple(row)
+
+
 def _integer_tables(inst):
     """Scale every score by the lcm of weight denominators so the search is pure int."""
     w = inst.rule
     if not w.is_rational:
         raise ValueError("the exact search needs a rational rule")
     scale, weights = integer_weights(w)
-    types = all_rankings(inst.m)
-    sig = {}
-    for t in types:
-        row = [0] * inst.m
-        for pos, cand in enumerate(t):
-            row[cand] = weights[pos]
-        sig[t] = tuple(row)
+    sig = {t: _score_row(t, weights) for t in all_rankings(inst.m)}
     base = [int(Fraction(s) * scale) for s in inst.scores]
     return scale, sig, base
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("left", "total")
 
     def __init__(self, n):
-        self.left = n
+        self.left = self.total = n
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise InstanceTooLarge(f"search exceeded the {NODE_BUDGET}-node budget")
+            raise InstanceTooLarge(f"search exceeded the {self.total}-node budget")
 
 
 def _ballot_search(k, ballots, sig, caps, target, m, budget):
@@ -337,31 +360,63 @@ def _ballot_search(k, ballots, sig, caps, target, m, budget):
     return rec(0, k, [0] * m)
 
 
-def _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win):
-    """Find a size-k CoalitionPlan, or None.  pool entries are (type, available count)."""
+def _suffix_max(values):
+    """[max(values[i:]) for every i], in one pass."""
+    return [*accumulate(reversed(values), max)][::-1]
+
+
+def _bound_tables(pool, ballots, sig, target, m):
+    """Per-node bound tables of the recruit search; they depend on the target, not on k.
+
+    gain g_t(c) = sig[t][c] - sig[t][target] is how far recruiting one voter
+    of type t narrows c's lead over the target.  maxg[idx] holds max_t g_t(c)
+    over pool[idx:] for each other candidate c, maxagg[idx] the max of
+    sum_c g_t(c); the entry past the end is 0 (no recruits left).  From the
+    ballots: minload, the least score any ballot gives each c, and minagg,
+    the least total any ballot gives the other candidates.
+    """
+    others = tuple(c for c in range(m) if c != target)
+    pool_cols = [*zip(*(sig[t] for t, _ in pool))]  # pool_cols[c][j]: c's score on pool[j]
+    gains = [[x - y for x, y in zip(pool_cols[c], pool_cols[target])] for c in others]
+    maxg = [*zip(*map(_suffix_max, gains)), (0,) * len(others)]
+    maxagg = _suffix_max([sum(g) for g in zip(*gains)]) + [0]
+    ballot_cols = [*zip(*(sig[t] for t in ballots))]
+    minload = [min(ballot_cols[c]) for c in others]
+    minagg = min(sum(sig[t]) - sig[t][target] for t in ballots)
+    return others, maxg, maxagg, minload, minagg
+
+
+def _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win, tables):
+    """Find a size-k CoalitionPlan, or None.  pool entries are (type, available count).
+
+    A node (idx, remaining, removed) is cut when no leaf below it can pass.
+    With D_c the lead of c over the target and room = scale*k, less 1 for a
+    strict win, a leaf needs D_c <= room - k*minload[c] for every c and
+    sum_c D_c <= (m-1)*room - k*minagg; the remaining recruits lower D_c by
+    at most remaining*maxg[idx][c], and the sum by remaining*maxagg[idx].
+    """
     m = inst.m
     target = inst.beta
-    tie_bump = 1 if strict_win else 0
+    others, maxg, maxagg, minload, minagg = tables
+    room = scale * k - (1 if strict_win else 0)
+    limits = [room - k * load for load in minload]
+    agg_limit = (m - 1) * room - k * minagg
 
     def rec(idx, remaining, removed):
         budget.spend()
-        if idx == len(pool):
-            if remaining:
+        if idx == len(pool) and remaining:
+            return None
+        lead = base[target] - removed[target]
+        leads = [base[c] - removed[c] - lead for c in others]
+        for d, g, limit in zip(leads, maxg[idx], limits):
+            if d - remaining * g > limit:
                 return None
-            post = [base[c] - removed[c] for c in range(m)]
-            target_score = post[target] + scale * k
+        if sum(leads) - remaining * maxagg[idx] > agg_limit:
+            return None
+        if idx == len(pool):
             caps = [0] * m
-            for c in range(m):
-                if c == target:
-                    continue
-                cap = target_score - post[c] - tie_bump
-                if cap < 0:
-                    return None
-                caps[c] = cap
-            # quick necessary test before enumerating ballots
-            for c in range(m):
-                if c != target and k * min(sig[t][c] for t in ballots) > caps[c]:
-                    return None
+            for c, d in zip(others, leads):
+                caps[c] = room - d
             cast = _ballot_search(k, ballots, sig, caps, target, m, budget)
             return None if cast is None else CoalitionPlan(x={}, y=dict(cast))
         t, avail = pool[idx]
@@ -393,9 +448,19 @@ def _search(inst, lower, kmax, budget, strict_win, unrestricted):
     capacity = sum(c for _, c in pool)
     kmax = min(kmax, capacity)
     ballots = all_rankings(inst.m) if unrestricted else inst.first_types
+    tables = _bound_tables(pool, ballots, sig, inst.beta, inst.m)
     start = max(1, math.ceil(lower))
+    left = budget.left
     for k in range(start, kmax + 1):
-        plan = _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win)
+        try:
+            plan = _search_at_size(
+                k, inst, pool, ballots, sig, base, scale, budget, strict_win, tables
+            )
+        except InstanceTooLarge as exc:
+            raise InstanceTooLarge(
+                f"{exc} at target {inst.beta}, coalition size {k} of {start}..{kmax} "
+                f"({left} nodes spent on this target)"
+            ) from None
         if plan is not None:
             return k, plan
     return None

@@ -1,13 +1,15 @@
-"""Independent brute-force oracles the tests compare the library against.
+"""Independent oracles the tests compare the library against.
 
-Nothing here imports the solver or search code under test; the LP oracle
-enumerates basic points directly and the coalition oracle tries every
-recruit/ballot multiset.  Both are exponential and only meant for tiny
-inputs.
+Nothing here imports the solver or search code under test.  The LP oracle
+enumerates basic points directly and the brute coalition oracle tries every
+recruit/ballot multiset; both are exponential and only meant for tiny
+inputs.  The milp coalition oracle hands program (1) to scipy's HiGHS
+branch and bound, for profiles too big to brute-force.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -118,3 +120,59 @@ def _works_at(k, beta, a, pool, counts, rankings, profile, rule, strict_win, gui
             if good:
                 return True
     return False
+
+
+def milp_mcs(profile, rule, strict_win=False, *, target=None, unrestricted=False):
+    """Optimum of program (1) by scipy's milp: the smallest coalition over all targets.
+
+    With `target` only that candidate is tried.  Recruits come from the
+    voters ranking the target above the winner, at most as many of a type
+    as the profile holds; cast ballots put the target first, or range over
+    every type with `unrestricted`.  Scores are scaled to integers by the
+    lcm of the weight denominators, so a strict win is a margin of 1.
+    Returns math.inf when no coalition works.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    board = scoreboard(profile, rule)
+    a, _, strict = top_two(board)
+    if not strict:
+        raise ValueError("tie for first place")
+    weights = [Fraction(w) for w in rule.weights]
+    scale = math.lcm(*(w.denominator for w in weights))
+    points = [int(w * scale) for w in weights]
+    scores = [Fraction(s) * scale for s in board.scores]
+    counts = dict(profile.items())
+    rankings = all_rankings(profile.m)
+
+    def score(ranking, cand):
+        return points[ranking.index(cand)]
+
+    best = math.inf
+    for beta in range(profile.m) if target is None else (target,):
+        if beta == a:
+            continue
+        pool = [r for r in counts if r.index(beta) < r.index(a)]
+        ballots = list(rankings) if unrestricted else [r for r in rankings if r[0] == beta]
+        rows, lower = [], []
+        for alpha in range(profile.m):
+            if alpha == beta:
+                continue
+            rows.append([score(r, alpha) - score(r, beta) for r in pool]
+                        + [score(r, beta) - score(r, alpha) for r in ballots])
+            lower.append(float(scores[alpha] - scores[beta]) + (1 if strict_win else 0))
+        rows.append([1] * len(pool) + [-1] * len(ballots))
+        lower.append(0)
+        upper = [np.inf] * (len(rows) - 1) + [0]
+        n_vars = len(pool) + len(ballots)
+        res = milp(
+            c=np.array([1.0] * len(pool) + [0.0] * len(ballots)),
+            constraints=LinearConstraint(np.array(rows, dtype=float), lower, upper),
+            integrality=np.ones(n_vars),
+            bounds=Bounds(np.zeros(n_vars), [counts[r] for r in pool] + [np.inf] * len(ballots)),
+        )
+        if res.status == 0:
+            best = min(best, round(res.fun))
+        elif res.status != 2:  # 2: infeasible
+            raise RuntimeError(f"milp failed on target {beta}: {res.message}")
+    return best

@@ -1,19 +1,23 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coalition_lp import exact
 from coalition_lp.election import (
-    Profile, antiplurality, borda, plurality, sample_ic, scoreboard, top_two,
+    Profile, all_rankings, antiplurality, borda, parse_rule, plurality, sample_ic,
+    scoreboard, sigma, top_two,
 )
 from coalition_lp.exact import (
-    InstanceTooLarge, ManipulationInstance, NotStrictWinner, mcs_exact,
+    CoalitionPlan, InstanceTooLarge, ManipulationInstance, NotStrictWinner, mcs_exact,
     mcs_outcome, q1, q2, q3, q_program2, q_program2_from_instance,
-    verify_integral_plan,
+    verify_integral_plan, verify_plan,
 )
 from coalition_lp.reduction import MarginPair, k_constant
-from oracles import brute_mcs
+from oracles import brute_mcs, milp_mcs
 
 PLURALITY_TINY = Profile.from_counts(3, {(0, 1, 2): 4, (1, 0, 2): 3, (2, 1, 0): 1})
 BORDA_TINY = Profile.from_counts(3, {(0, 1, 2): 4, (1, 0, 2): 2, (2, 1, 0): 1})
@@ -248,8 +252,179 @@ def test_verifier_catches_tampering():
     inst = ManipulationInstance.from_profile(PLURALITY_TINY, plurality(3), out.target)
     bad_x = dict(out.plan.x)
     bad_x[(2, 1, 0)] = 5  # more voters of this type than exist
-    from coalition_lp.exact import CoalitionPlan
-
     tampered = CoalitionPlan(bad_x, {(1, 2, 0): 5})
     issues = verify_integral_plan(inst, tampered)
     assert any("only" in msg for msg in issues)
+
+
+def _candidate_rows_by_sigma(inst, plan, tol):
+    """verify_plan's candidate rows written out with sigma() and the rule's own weights."""
+    w, target, issues = inst.rule, inst.beta, []
+    for alpha in range(inst.m):
+        if alpha == target:
+            continue
+        lhs = sum(amt * (1 - sigma(t, alpha, w)) for t, amt in plan.y.items())
+        lhs -= sum(
+            amt * (sigma(t, target, w) - sigma(t, alpha, w)) for t, amt in plan.x.items()
+        )
+        rhs = inst.scores[alpha] - inst.scores[target]
+        if lhs - rhs < -tol:
+            issues.append(f"candidate {alpha} stays ahead: {lhs} < {rhs}")
+    return issues
+
+
+VERIFY_RULES = {
+    3: ("plurality", "borda", "antiplurality", "weights:1,3/4,0", "weights:1,1/3,0",
+        "weights:1.0,0.35,0.0"),
+    4: ("plurality", "borda", "approval:2", "weights:1,1,1/2,0", "weights:1.0,0.6,0.2,0.0"),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_plan_scores_as_sigma_does(data):
+    """Scoring an exact plan in ints keeps the verdicts and messages of sigma() scoring."""
+    m = data.draw(st.sampled_from((3, 4)))
+    rule = parse_rule(data.draw(st.sampled_from(VERIFY_RULES[m])), m)
+    profile = sample_ic(data.draw(st.integers(3, 40)), m, (41, data.draw(st.integers(0, 999))))
+    a, _, strict = top_two(scoreboard(profile, rule))
+    assume(strict)
+    inst = ManipulationInstance.from_profile(
+        profile, rule, data.draw(st.sampled_from([c for c in range(m) if c != a])))
+    floats = data.draw(st.booleans())
+    amount = (st.floats(0, 30) if floats else
+              st.one_of(st.integers(0, 30), st.fractions(0, 30, max_denominator=12)))
+    types = all_rankings(m)
+    plan = CoalitionPlan(
+        data.draw(st.dictionaries(st.sampled_from(inst.pref_types), amount, max_size=6)),
+        data.draw(st.dictionaries(st.sampled_from(types), amount, max_size=6)),
+    )
+    tol = 1e-7 if floats else 0
+    issues = verify_plan(inst, plan, pool=inst.pref_types, ballots=types, tol=tol)
+    rows = [msg for msg in issues if msg.startswith("candidate")]
+    assert rows == _candidate_rows_by_sigma(inst, plan, tol)
+
+
+PINNED_RULES = {
+    3: ("plurality", "borda", "antiplurality", "weights:1,3/4,0", "weights:1,1/3,0"),
+    4: ("plurality", "borda", "approval:2", "antiplurality", "weights:1,1,1/2,0"),
+}
+# Strict searches that spent the whole 10M-node budget (13-23 s each) before the
+# recruit search cut subtrees by score bounds: (n, i, rule, target) with target
+# None for mcs_outcome.  test_budget_limited_search_matches_milp checks them.
+UNPINNED = {(50, 1, "antiplurality", None), (50, 2, "antiplurality", None),
+            (200, 1, "approval:2", None), (200, 3, "antiplurality", None),
+            (20, 0, "antiplurality", 0), (20, 0, "antiplurality", 2),
+            (20, 1, "antiplurality", 1)}
+PINNED_SEARCHES = (653, "66f9059370ffe93b96e4608b77a22ced18676cfed3c5afd4474fc04b3122d799")
+
+
+def _pinned_searches():
+    """repr of each pinned search result, in a fixed order."""
+    for m in (3, 4):
+        for n in (7, 20, 50, 200):
+            for i in range(4):
+                profile = sample_ic(n, m, (31, n, i))
+                for text in PINNED_RULES[m]:
+                    rule = parse_rule(text, m)
+                    for strict in (False, True):
+                        if strict and m == 4 and (n, i, text, None) in UNPINNED:
+                            continue
+                        try:
+                            out = mcs_outcome(profile, rule, strict_win=strict)
+                        except NotStrictWinner:
+                            yield repr(("tie", m, n, i, text))
+                            continue
+                        plan = (None, None) if out.plan is None else (
+                            sorted(out.plan.x.items()), sorted(out.plan.y.items()))
+                        yield repr((out.value, out.target) + plan)
+                    board = scoreboard(profile, rule)
+                    a, b, strict = top_two(board)
+                    if n > 20 or not strict:
+                        continue
+                    for beta in range(m):
+                        if beta == a:
+                            continue
+                        inst = ManipulationInstance._build(rule, board.scores, a, b, beta, profile)
+                        yield repr(q1(inst, unrestricted=True))
+                        if m < 4 or (n, i, text, beta) not in UNPINNED:
+                            yield repr(q1(inst, strict_win=True, unrestricted=True))
+
+
+def test_search_results_are_pinned():
+    """Every mcs_outcome (value, target, witness) and unrestricted q1 of a corpus, hashed.
+
+    Corpus: sample_ic(n, m, (31, n, i)) for m = 3, 4, n in {7, 20, 50, 200}
+    and i < 4, five rules each; mcs_outcome weak and strict, and for n <= 20
+    q1(unrestricted=True) weak and strict per target.  The digest was
+    recorded before the recruit search cut subtrees by score bounds, so it
+    pins the witness each size's search finds first, not only the values.
+    The UNPINNED strict inputs are left out because that search could not
+    finish them; test_budget_limited_search_matches_milp covers them.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for record in _pinned_searches():
+        digest.update(record.encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == PINNED_SEARCHES
+
+
+def _milp_cases():
+    """(profile, rule text, strict, target or None) for the oracle comparison below."""
+    # seed-9 corpus jobs on which the unbounded search spent its 10M nodes
+    for i, text in ((3, "approval:2"), (3, "borda"), (3, "weights:1,1,1/2,0"),
+                    (7, "weights:1,1,1/2,0")):
+        yield sample_ic(1000, 4, (9, 1000, i)), text, False, None
+    for n, i, text, target in sorted(UNPINNED, key=repr):
+        yield sample_ic(n, 4, (31, n, i)), text, True, target
+    rng = random.Random(37)
+    for i in range(20):
+        n = rng.choice((20, 50, 200, 1000))
+        yield sample_ic(n, 4, (37, n, i)), rng.choice(PINNED_RULES[4]), rng.random() < 0.3, None
+
+
+def test_budget_limited_search_matches_milp(monkeypatch):
+    """Within 1% of its node budget the search reaches program (1)'s milp optimum.
+
+    The cases include every input on which the search without per-node
+    bounds spent all 10M nodes; targeted cases run the unrestricted q1.  The
+    costliest, the strict antiplurality mcs of sample_ic(200, 4, (31, 200, 3)),
+    takes about 89,000 nodes to rule out a coalition of 15.
+    """
+    monkeypatch.setattr(exact, "NODE_BUDGET", 100_000)
+    values = []
+    for profile, text, strict, target in _milp_cases():
+        rule = parse_rule(text, 4)
+        if not top_two(scoreboard(profile, rule))[2]:
+            continue
+        want = milp_mcs(profile, rule, strict, target=target, unrestricted=target is not None)
+        if target is not None:
+            inst = ManipulationInstance.from_profile(profile, rule, target)
+            got = q1(inst, strict_win=strict, unrestricted=True)
+        else:
+            out = mcs_outcome(profile, rule, strict_win=strict)
+            got = out.value
+            if got != math.inf:
+                inst = ManipulationInstance.from_profile(profile, rule, out.target)
+                assert verify_integral_plan(inst, out.plan) == []
+                assert out.plan.size == got
+        assert got == want, (profile.n, text, strict, target)
+        values.append(got)
+    assert values[:4] == [24, 31, 23, 23]
+
+
+def test_budget_error_says_how_far_the_search_got(monkeypatch, tmp_path, capsys):
+    from coalition_lp import cli
+
+    monkeypatch.setattr(exact, "NODE_BUDGET", 5)
+    profile = sample_ic(200, 4, (9, 200, 5))
+    with pytest.raises(InstanceTooLarge, match=r"5-node budget at target \d, coalition size "
+                                               r"\d+ of \d+\.\.\d+ \(\d+ nodes spent on this"):
+        mcs_outcome(profile, borda(4))
+    path = tmp_path / "profile.json"
+    path.write_text(profile.to_json())
+    assert cli.main(["exact", "--profile", str(path), "--rule", "borda"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: search exceeded the 5-node budget")
