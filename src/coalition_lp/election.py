@@ -12,6 +12,7 @@ with a tie tolerance of TIE_TOL.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -314,11 +315,17 @@ class Scoreboard:
         return sum(self.scores) / self.m
 
 
-def integer_weights(rule: ScoreVector):
-    """(scale, ints) for a rational rule: the lcm of the weight denominators and w[pos] * scale."""
-    weights = [Fraction(w) for w in rule.weights]
+def _typed(rule: ScoreVector) -> tuple:
+    """A cache key for the rule: its weights and their types, as Fraction(1, 2) == 0.5."""
+    return rule.weights, tuple(map(type, rule.weights))
+
+
+@functools.lru_cache(maxsize=16)
+def integer_weights(key):
+    """(scale, ints) for a rational rule's _typed key: the lcm of the denominators, w * scale."""
+    weights = [Fraction(w) for w in key[0]]
     scale = math.lcm(*(w.denominator for w in weights))
-    return scale, [int(w * scale) for w in weights]
+    return scale, tuple(int(w * scale) for w in weights)
 
 
 def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
@@ -326,7 +333,7 @@ def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
     if rule.m != profile.m:
         raise ValueError("rule and profile must share m")
     if rule.is_rational:
-        scale, weights = integer_weights(rule)
+        scale, weights = integer_weights(_typed(rule))
         scores = [0] * profile.m
     else:
         scale, weights = None, rule.weights

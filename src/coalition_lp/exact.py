@@ -20,7 +20,7 @@ least loading ballots, leave some candidate (or all of them together) over
 their cap, the subtree is cut.  Only subtrees without a working leaf are
 cut, so the plan found is the one the uncut search finds, in far fewer
 nodes.  A search that still exceeds NODE_BUDGET raises InstanceTooLarge
-naming the target, the size and the nodes spent.
+naming the target, the size, and the nodes and seconds spent.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
+from time import perf_counter
 
 from . import lp
 from .election import (
@@ -36,6 +38,7 @@ from .election import (
     ScoreVector,
     Scoreboard,
     _is_exact,
+    _typed,
     all_rankings,
     integer_weights,
     scoreboard,
@@ -53,6 +56,27 @@ class InstanceTooLarge(Exception):
 
 MAX_EXACT_M = 4
 NODE_BUDGET = 10_000_000
+
+
+@lru_cache(maxsize=8)
+def _type_maps(m):
+    """Each type's rank among all_rankings(m) and its candidates' places (inverse permutation)."""
+    types = all_rankings(m)
+    return {t: i for i, t in enumerate(types)}, {t: tuple(map(t.index, range(m))) for t in types}
+
+
+@lru_cache(maxsize=16)
+def _lp_tables(key):
+    """gain[i][j] = -(w[i] - w[j]) with beta in place i and alpha in j, and lift[j] = 1 - w[j]."""
+    w = key[0]
+    return tuple(tuple(-(wi - wj) for wj in w) for wi in w), tuple(1 - wj for wj in w)
+
+
+@lru_cache(maxsize=16)
+def _score_rows(key):
+    """(scale, sig) of a rational rule: every type's integer score row, weights times scale."""
+    scale, weights = integer_weights(key)
+    return scale, {t: _score_row(t, weights) for t in all_rankings(len(weights))}
 
 
 @dataclass(frozen=True)
@@ -108,11 +132,11 @@ class ManipulationInstance:
         if beta == a:
             raise ValueError("the manipulation target must differ from the winner")
         m = rule.m
-        types = all_rankings(m)
-        pref = tuple(t for t in types if t.index(beta) < t.index(a))
-        first = tuple(t for t in types if t[0] == beta)
+        places = _type_maps(m)[1]
+        pref = tuple(t for t, p in places.items() if p[beta] < p[a])
+        first = tuple(t for t in places if t[0] == beta)
         strata = tuple(
-            tuple(t for t in types if t.index(b) == i and t.index(a) == i + 1)
+            tuple(t for t, p in places.items() if p[b] == i and p[a] == i + 1)
             for i in range(m - 1)
         )
         ba = tuple(t for stratum in strata for t in stratum)
@@ -146,11 +170,9 @@ class ManipulationInstance:
         return Scoreboard(self.scores, 0).mean
 
     def count_of(self, ranking) -> int:
-        from .election import ranking_index
-
         if self.profile is None:
             raise ValueError("this instance has no profile")
-        return self.profile.counts[ranking_index(ranking, self.m)]
+        return self.profile.counts[_type_maps(self.m)[0][tuple(ranking)]]
 
 
 # --------------------------------------------------------------------- #
@@ -192,7 +214,7 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
     amounts = (*plan.x.values(), *plan.y.values())
     exact = inst.rule.is_rational and all(map(_is_exact, amounts))
     if exact:
-        scale, weights = integer_weights(inst.rule)
+        scale, weights = integer_weights(_typed(inst.rule))
         den = math.lcm(1, *(a.denominator for a in amounts))
         x, y = ({t: a.numerator * (den // a.denominator) for t, a in part.items()}
                 for part in (plan.x, plan.y))
@@ -239,18 +261,17 @@ def _coalition_lp(inst, xs, upper_slack=None) -> lp.LinearProgram:
 
     upper_slack=K adds the shrunk recruitment bounds x_t <= N_t - K.
     """
-    w = inst.rule.weights
-    gain = [[-(wi - wj) for wj in w] for wi in w]  # gain[i][j]: beta in place i, alpha in j
-    lift = [1 - wj for wj in w]
+    gain, lift = _lp_tables(_typed(inst.rule))
+    places = _type_maps(inst.m)[1]
     ys = inst.first_types
     nx, ny = len(xs), len(ys)
-    beta_at = [t.index(inst.beta) for t in xs]
+    x_at, y_at = ([places[t] for t in types] for types in (xs, ys))
     rows = []
     for alpha in range(inst.m):
         if alpha == inst.beta:
             continue
-        coeffs = [gain[i][t.index(alpha)] for i, t in zip(beta_at, xs)]
-        coeffs += [lift[t.index(alpha)] for t in ys]
+        coeffs = [gain[p[inst.beta]][p[alpha]] for p in x_at]
+        coeffs += [lift[p[alpha]] for p in y_at]
         rows.append((tuple(coeffs), ">=", inst.scores[alpha] - inst.scores[inst.beta]))
     rows.append((tuple([-1] * nx + [1] * ny), "=", 0))
     if upper_slack is not None:
@@ -307,20 +328,19 @@ def _score_row(ranking, weights):
 
 def _integer_tables(inst):
     """Scale every score by the lcm of weight denominators so the search is pure int."""
-    w = inst.rule
-    if not w.is_rational:
+    if not inst.rule.is_rational:
         raise ValueError("the exact search needs a rational rule")
-    scale, weights = integer_weights(w)
-    sig = {t: _score_row(t, weights) for t in all_rankings(inst.m)}
+    scale, sig = _score_rows(_typed(inst.rule))
     base = [int(Fraction(s) * scale) for s in inst.scores]
     return scale, sig, base
 
 
 class _Budget:
-    __slots__ = ("left", "total")
+    __slots__ = ("left", "total", "start")
 
     def __init__(self, n):
         self.left = self.total = n
+        self.start = perf_counter()
 
     def spend(self):
         self.left -= 1
@@ -442,7 +462,8 @@ def _search(inst, lower, kmax, budget, strict_win, unrestricted):
     if lower is math.inf:
         return None
     scale, sig, base = _integer_tables(inst)
-    pool = [(t, inst.count_of(t)) for t in inst.pref_types if inst.count_of(t) > 0]
+    pref = set(inst.pref_types)
+    pool = [(t, c) for t, c in zip(all_rankings(inst.m), inst.profile.counts) if c and t in pref]
     if not pool:
         return None
     capacity = sum(c for _, c in pool)
@@ -459,7 +480,7 @@ def _search(inst, lower, kmax, budget, strict_win, unrestricted):
         except InstanceTooLarge as exc:
             raise InstanceTooLarge(
                 f"{exc} at target {inst.beta}, coalition size {k} of {start}..{kmax} "
-                f"({left} nodes spent on this target)"
+                f"({left} nodes spent on this target, {perf_counter() - budget.start:.1f} s in all)"
             ) from None
         if plan is not None:
             return k, plan

@@ -1,14 +1,14 @@
 """A small deterministic simplex solver.
 
 Two-phase dense simplex with Bland's rule.  When every coefficient is an int
-or Fraction the solve is exact and runs on integer rows: each tableau row is a
-list of Python ints over one positive int denominator, reduced by their gcd
-after every update.  Every sign test and ratio comparison is the rational one,
-so it takes the same pivots as a Fraction tableau and returns the same
-Fractions, and the optimal point is re-checked against every original row in
-integer arithmetic.  Otherwise floats are used with a pivot tolerance of 1e-9
-and the optimal point is re-verified against every constraint to a relative
-1e-8 before being returned.
+or Fraction the solve is exact and runs on integer rows: each row is scaled
+once to Python ints over one positive int denominator, and tableau rows stay
+so, reduced by their gcd after every update.  Every sign test and ratio
+comparison is the rational one, so it takes the same pivots as a Fraction
+tableau and returns the same Fractions; the optimal point is re-checked, with
+no slack, against every original row in the same integer form.  Otherwise
+floats are used with a pivot tolerance of 1e-9 and the point is re-verified
+against every constraint to a relative 1e-8 before being returned.
 
 No scaling, no revised simplex, no presolve; identical inputs always take
 identical pivots.
@@ -26,6 +26,7 @@ FEAS_TOL = 1e-8
 MAX_PIVOTS = 100_000
 
 RELATIONS = ("<=", "=", ">=")
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}  # the relation of a row times -1
 
 
 class DimensionMismatch(Exception):
@@ -73,13 +74,11 @@ class LinearProgram:
 
     @property
     def is_rational(self) -> bool:
-        values = list(self.objective)
+        types = set(map(type, self.objective))
         for coeffs, _rel, rhs in self.rows:
-            values.extend(coeffs)
-            values.append(rhs)
-        return all(
-            isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values
-        )
+            types.update(map(type, coeffs))
+            types.add(type(rhs))
+        return types <= {int, Fraction}  # bool is its own type, so it is rejected
 
 
 @dataclass(frozen=True)
@@ -97,18 +96,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     minimize = lp.sense == "min"
     n = lp.n_vars
 
+    # Each row scaled once: the tableau starts from these and the re-check reads them.
+    scaled = [(*_scaled((*coeffs, b), exact), rel) for coeffs, rel, b in lp.rows]
     # Rows with non-negative rhs; columns are original | slack/surplus | artificial | rhs.
-    body = []
-    rels = []
-    dens = []
-    for coeffs, rel, b in lp.rows:
-        row, den = _scaled((*coeffs, b), exact)
-        if row[-1] < 0:
-            row = [-x for x in row]
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        body.append(row)
-        rels.append(rel)
-        dens.append(den)
+    body = [row if row[-1] >= 0 else [-x for x in row] for row, _, _ in scaled]
+    rels = [rel if row[-1] >= 0 else _FLIPPED[rel] for row, _, rel in scaled]
+    dens = [den for _, den, _ in scaled]
 
     nrows = len(body)
     slack_of = [None] * nrows
@@ -217,14 +210,19 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if status == "unbounded":
         return _non_optimal(LpStatus.UNBOUNDED, minimize)
 
+    # The point is xs / scale: the basic rows' integer rhs over one lcm, or floats over 1.0.
+    basic = [(basis[i], i) for i in range(nrows) if basis[i] < n]
+    scale = math.lcm(*(dens[i] for _, i in basic)) if exact else 1.0
+    xs = [zero] * n
     point = [Fraction(0) if exact else zero] * n
-    for i in range(nrows):
-        if basis[i] < n:
-            point[basis[i]] = Fraction(tableau[i][-1], dens[i]) if exact else tableau[i][-1]
-    value = sum(c * x for c, x in zip(cost, point)) / cost_den
+    for j, i in basic:
+        xs[j] = tableau[i][-1] * (scale // dens[i]) if exact else tableau[i][-1]
+        point[j] = Fraction(xs[j], scale) if exact else xs[j]
+    total = sum(c * x for c, x in zip(cost, xs))
+    value = Fraction(total, cost_den * scale) if exact else total / cost_den
     if not minimize:
         value = -value
-    _verify_feasible(lp, point, exact)
+    _verify_feasible(scaled, xs, scale, exact)
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(point))
 
 
@@ -232,8 +230,9 @@ def _scaled(values, exact):
     """Exact values as ints over their common denominator, with it; floats with 1.0."""
     if not exact:
         return [float(v) for v in values], 1.0
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [x * (den // d) for x, d in ratios], den
 
 
 def _pivot(tableau, dens, basis, leaving, entering, exact):
@@ -279,25 +278,22 @@ def _non_optimal(status: LpStatus, minimize: bool) -> LpOutcome:
     return LpOutcome(status, value, None)
 
 
-def _verify_feasible(lp: LinearProgram, point, exact: bool):
-    """Re-check the reported point against every original constraint.
+def _verify_feasible(rows, xs, scale, exact: bool):
+    """Re-check the point xs / scale against every original row, as (ints, den, rel).
 
-    Exact mode scales the point by the lcm of its denominators and each row by
-    its own, so the check is integer arithmetic with no slack.
+    Exact rows and xs are ints, so the check is integer arithmetic with no
+    slack; float rows get a relative FEAS_TOL.
     """
-    xs, scale = _scaled(point, exact)
-    for coeffs, rel, b in lp.rows:
-        row, _ = _scaled((*coeffs, b), exact)
+    for i, (row, den, rel) in enumerate(rows):
         lhs = sum(c * x for c, x in zip(row, xs))
         rhs = row[-1] * scale
         slack = 0 if exact else FEAS_TOL * (1.0 + abs(rhs))
         d = lhs - rhs
         ok = (d <= slack) if rel == "<=" else (d >= -slack) if rel == ">=" else abs(d) <= slack
         if not ok:
-            raise NumericalFailure(f"optimal point violates {coeffs} {rel} {b}")
-    for x in point:
-        if (exact and x < 0) or (not exact and float(x) < -FEAS_TOL):
-            raise NumericalFailure("optimal point has a negative coordinate")
+            raise NumericalFailure(f"optimal point violates row {i} ({rel}): {row} over {den}")
+    if any(x < (0 if exact else -FEAS_TOL) for x in xs):
+        raise NumericalFailure("optimal point has a negative coordinate")
 
 
 def dual_gap_check(primal: LinearProgram, dual: LinearProgram):

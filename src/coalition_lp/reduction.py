@@ -393,32 +393,37 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
         if amount:
             table[t] = table.get(t, conv(0)) + amount
 
+    # per-type amounts, each product formed once per (candidate, stratum), left to right
+    ru = {c: r * u[c] for c in others}
+    rv = {c: (1 - r) * v[c] for c in others}
+    bury = {(c, i): ru[c] * z[i - 1] / fact_small for c in others for i in range(1, m - 1)}
+    keep = {(c, i): rv[c] * z[i - 1] / fact_small for c in others for i in range(2, m - 1)}
     # recruits who bury a at the bottom, keyed by their own last-place candidate
     for i in range(1, m - 1):
         for t in inst.strata[i - 1]:
-            add(x, t, r * u[t[m - 1]] * z[i - 1] / fact_small)
+            add(x, t, bury[t[m - 1], i])
     for t in inst.first_types:
         if t[m - 1] == inst.a:
-            amount = sum(r * u[t[i]] * z[i - 1] / fact_small for i in range(1, m - 1))
-            add(y, t, amount)
+            add(y, t, sum(bury[t[i], i] for i in range(1, m - 1)))
     # recruits who keep a where it was, keyed by their first-place candidate
     for i in range(2, m - 1):
         for t in inst.strata[i - 1]:
-            add(x, t, (1 - r) * v[t[0]] * z[i - 1] / fact_small)
+            add(x, t, keep[t[0], i])
         for t in inst.first_types:
             if t[i] == inst.a:
-                add(y, t, (1 - r) * v[t[i - 1]] * z[i - 1] / fact_small)
+                add(y, t, keep[t[i - 1], i])
     # top-stratum recruits who vote sincerely
+    amount = (1 - r) * z[0] / fact_mid
     for t in inst.strata[0]:
-        amount = (1 - r) * z[0] / fact_mid
         add(x, t, amount)
         add(y, t, amount)
     # bottom-stratum recruits (a already last on their sincere ballot)
+    low = {c: v[c] * z[m - 2] / fact_small for c in others}
     for t in inst.strata[m - 2]:
-        add(x, t, v[t[0]] * z[m - 2] / fact_small)
+        add(x, t, low[t[0]])
     for t in inst.first_types:
         if t[m - 1] == inst.a:
-            add(y, t, v[t[m - 2]] * z[m - 2] / fact_small)
+            add(y, t, low[t[m - 2]])
 
     plan = CoalitionPlan(
         x={t: amt for t, amt in x.items() if amt != 0},

@@ -1,15 +1,17 @@
 import hashlib
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coalition_lp import exact
+from coalition_lp import exact, lp
 from coalition_lp.election import (
-    Profile, all_rankings, antiplurality, borda, parse_rule, plurality, sample_ic,
-    scoreboard, sigma, top_two,
+    Profile, all_rankings, antiplurality, borda, integer_weights, normalize, parse_rule,
+    plurality, sample_ic, scoreboard, sigma, top_two,
 )
 from coalition_lp.exact import (
     CoalitionPlan, InstanceTooLarge, ManipulationInstance, NotStrictWinner, mcs_exact,
@@ -428,3 +430,42 @@ def test_budget_error_says_how_far_the_search_got(monkeypatch, tmp_path, capsys)
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: search exceeded the 5-node budget")
+
+
+def test_budget_error_gives_the_seconds_spent(monkeypatch):
+    clock = itertools.count(100.0, 12.34)  # the budget starts at 100.0, the error reads 112.34
+    monkeypatch.setattr(exact, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(exact, "NODE_BUDGET", 5)
+    with pytest.raises(InstanceTooLarge, match=r"nodes spent on this target, 12\.3 s in all\)$"):
+        mcs_outcome(sample_ic(200, 4, (9, 200, 5)), borda(4))
+
+
+def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
+    """Fraction(1, 2) == 0.5 and both hash alike, so the rule tables are keyed by weight types."""
+    rational, floating = parse_rule("weights:1,1/2,0"), normalize((1.0, 0.5, 0.0))
+    assert rational == floating and hash(rational) == hash(floating)
+    solved = []
+    real_solve = lp.solve
+
+    def recording(program):
+        solved.append(program.is_rational)
+        return real_solve(program)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    for order in ((rational, floating), (floating, rational)):
+        for cached in (exact._lp_tables, exact._score_rows, integer_weights):
+            cached.cache_clear()
+        for rule in order:
+            kind = Fraction if rule is rational else float
+            inst = ManipulationInstance.from_profile(BORDA_TINY, rule)
+            program = exact._coalition_lp(inst, inst.pref_types)
+            assert program.is_rational is (rule is rational)
+            assert {type(c) for coeffs, rel, _ in program.rows if rel == ">=" for c in coeffs} \
+                == {kind}
+            del solved[:]
+            assert type(q3(inst)) is kind and solved == [rule is rational]
+            if rule is rational:
+                assert exact._integer_tables(inst)[0] == 2
+            else:
+                with pytest.raises(ValueError, match="rational rule"):
+                    exact._integer_tables(inst)

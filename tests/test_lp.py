@@ -238,6 +238,37 @@ def test_dual_gap_infeasible_unbounded_pair():
     assert dual_gap_check(infeasible, unbounded) == 0
 
 
+def test_is_rational_takes_ints_and_fractions_only():
+    assert LinearProgram((1, Fraction(1, 2)), "min", (((1, 2), ">=", Fraction(3)),)).is_rational
+    assert not LinearProgram((1, 1), "min", (((1, 2), ">=", 3.0),)).is_rational
+    assert not LinearProgram((1, True), "min", (((1, 2), ">=", 3),)).is_rational
+
+
+def test_exact_recheck_refuses_a_bad_point(monkeypatch):
+    # x0 >= 1, x1/3 <= 2/3 and x2/2 = 1; the rows are scaled once, as solve scales them
+    prog = LinearProgram((1, 1, 1), "min", (
+        ((1, 0, 0), ">=", 1),
+        ((0, Fraction(1, 3), 0), "<=", Fraction(2, 3)),
+        ((0, 0, Fraction(1, 2)), "=", 1),
+    ))
+    rows = [(*lp._scaled((*c, b), True), rel) for c, rel, b in prog.rows]
+    lp._verify_feasible(rows, [2, 4, 4], 2, True)  # (1, 2, 2) fits every row
+    for xs, scale, broken in (
+        ([1, 4, 4], 2, r"row 0 \(>=\)"),
+        ([1, 3, 2], 1, r"row 1 \(<=\)"),
+        ([1, 2, 3], 1, r"row 2 \(=\)"),
+        ([3, -1, 6], 3, "negative coordinate"),
+    ):
+        with pytest.raises(lp.NumericalFailure, match=broken):
+            lp._verify_feasible(rows, xs, scale, True)
+    # solve runs the same check on its own point, (1, 0, 2): moved off it, the point is refused
+    real = lp._verify_feasible
+    monkeypatch.setattr(lp, "_verify_feasible",
+                        lambda rows, xs, scale, exact: real(rows, [x - 1 for x in xs], scale, exact))
+    with pytest.raises(lp.NumericalFailure, match="row 0"):
+        solve(prog)
+
+
 # Every test above whose programs are exact; the pinned digest below replays them.
 EXACT_PROGRAM_TESTS = (
     test_minimal_cover, test_infeasible, test_unbounded_max, test_equality_row,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from coalition_lp.reduction import (
     ZInfeasible, closed_form_q, cone_optimal_vertices, mw_polytope,
     optimal_vertex_set, q_dual, q_stratified, sigma_scaled, witness_from_z,
 )
+from test_election import _pinned_rules
 
 
 def test_borda4_polytope():
@@ -212,6 +214,36 @@ def test_witness_on_synthetic_scoreboards():
             plan = witness_from_z(inst, z)
             assert verify_stratified_plan(inst, plan, z) == []
             assert plan.size == value
+
+
+PINNED_WITNESSES = (128, "707ef48990956edfda3e7ebb9cce39eb819c29b34322c4c87a92a2a4e54cf9bc")
+
+
+def test_witness_plans_are_pinned():
+    """repr of every witness_from_z plan over an IC corpus, hashed.
+
+    The digest was recorded while each per-type amount was its own product,
+    before those products were formed once per (candidate, stratum): exact
+    plans must stay the same Fractions and float plans the same floats, bit
+    for bit.  z is q_stratified's optimum and, to leave the vertex, that
+    optimum times 3/2.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for m in (3, 4, 5, 6):
+        for n, i in ((50, 0), (1000, 0), (1000, 1)):
+            profile = sample_ic(n, m, (53, m, n, i))
+            for rule in _pinned_rules(m):
+                board = scoreboard(profile, rule)
+                if not top_two(board)[2]:
+                    continue
+                inst = ManipulationInstance.from_profile(profile, rule)
+                _, z = q_stratified(MarginPair.from_scoreboard(board), rule)
+                for zs in () if z is None else (z, [zi * 3 / 2 for zi in z]):
+                    plan = witness_from_z(inst, zs)
+                    digest.update(repr((sorted(plan.x.items()), sorted(plan.y.items()))).encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == PINNED_WITNESSES
 
 
 def test_witness_float_rule():
