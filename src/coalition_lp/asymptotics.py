@@ -26,10 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .election import InvalidInput, ScoreVector, sample_scoreboards
+from .election import MAX_CANDIDATES, InvalidInput, ScoreVector, _check_m, sample_scoreboards
 from .reduction import Polytope2D, cone_optimal_vertices, mw_polytope
 
 CHUNK = 1 << 18
+BLOCK = 1 << 14  # rows per network pass: the m columns of a block stay in cache
 Z95 = 1.959963984540054
 
 
@@ -96,11 +97,48 @@ def sample_vw_batch(model: LimitModel, rng, size: int) -> np.ndarray:
     the maximum on a set of margin directions of probability zero, and where
     it ties a dot the dot gives the same value.
     """
-    z = rng.standard_normal((size, model.m))
-    z.sort(axis=1)
-    zbar = z.mean(axis=1)
+    top, second, zbar = _top_two_mean(rng, size, model.m)
     dots = model.scaled_vertices[list(model.dot_rows)]
-    return _vertex_max(z[:, -1] - zbar, zbar - z[:, -2], dots, model.has_ray)
+    return _vertex_max(top - zbar, zbar - second, dots, model.has_ray)
+
+
+def _top_two_mean(rng, size, m):
+    """Rows (largest, second largest, mean) of `size` draws of m normals.
+
+    Bit-equal to z[:, -1], z[:, -2] and z.mean(axis=1) of one sorted (size, m)
+    draw: the blocks consume the same stream, and a sorting network orders each
+    block's columns (past MAX_CANDIDATES numpy sorts and averages each block).
+    """
+    out = np.empty((3, size))
+    network = _merge_exchange(m) if m <= MAX_CANDIDATES else None
+    for lo in range(0, size, BLOCK):
+        z = rng.standard_normal((min(BLOCK, size - lo), m))
+        if network is None:
+            z.sort(axis=1)
+            c, zbar = z.T, z.mean(axis=1)
+        else:
+            c, spare = list(z.T.copy()), np.empty(len(z))
+            for i, j in network:
+                np.minimum(c[i], c[j], out=spare)
+                np.maximum(c[i], c[j], out=c[j])
+                c[i], spare = spare, c[i]
+            # the bytes equal z.mean(axis=1) only in numpy's order of a row sum:
+            # left to right below 8 values, a pairwise tree at 8
+            zbar = (sum(c[1:], c[0]) if m < 8 else
+                    ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))) / m
+        out[:, lo:lo + len(z)] = c[-1], c[-2], zbar
+    return out
+
+
+def _merge_exchange(m):
+    """Batcher's merge exchange (Knuth 5.2.2 M); at m = 3..8 it has the fewest pairs."""
+    pairs, t = [], (m - 1).bit_length()
+    for p in (1 << k for k in reversed(range(t))):
+        q, r, d = 1 << (t - 1), 0, p
+        while d:
+            pairs += [(i, i + d) for i in range(m - d) if i & p == r]
+            q, r, d = q >> 1, p, q - p
+    return pairs
 
 
 def _vertex_max(a, b, verts, has_ray):
@@ -179,7 +217,7 @@ def isotonic(values):
 
 
 def resolve_threads(threads=None) -> int:
-    """threads, else COALITION_LP_THREADS, else the core count; a count below 1 is refused."""
+    """threads, else COALITION_LP_THREADS, else the CPUs usable here; a count below 1 is refused."""
     import os
 
     if threads is not None:
@@ -192,7 +230,8 @@ def resolve_threads(threads=None) -> int:
         if not env.strip().isdigit() or int(env) < 1:
             raise InvalidInput(f"COALITION_LP_THREADS must be a positive integer, got {env!r}")
         return int(env)
-    return os.cpu_count() or 1
+    usable = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return len(usable(0)) if usable else os.cpu_count() or 1
 
 
 def _chunked_sum(samples: int, seed, draw, threads):
@@ -318,9 +357,8 @@ def plateau_probability(m: int, samples: int = 1_000_000, seed=0, threads=None):
         raise ValueError("need m >= 3")
 
     def draw(rng, size):
-        z = rng.standard_normal((size, m))
-        z.sort(axis=1)
-        return int((z[:, -2] < z.mean(axis=1)).sum())
+        _, second, zbar = _top_two_mean(rng, size, m)
+        return int((second < zbar).sum())
 
     p = _chunked_sum(samples, seed, draw, threads) / samples
     return p, _wilson_half_width(p, samples)
@@ -488,6 +526,7 @@ def convergence_experiment(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    _check_m(rule.m)  # the finite-n profiles enumerate all m! types
     model = limit_model(rule)
     if grid is None:
         grid = DEFAULT_GRID

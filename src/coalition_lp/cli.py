@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         if threads:
             p.add_argument(
                 "--threads", type=int, default=None,
-                help="sampling pool size (default: COALITION_LP_THREADS or all cores)",
+                help="sampling pool size (default: COALITION_LP_THREADS or the usable CPUs)",
             )
 
     p = sub.add_parser("polytope", help="dual polytope with optimal-vertex dots")

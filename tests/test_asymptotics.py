@@ -1,20 +1,23 @@
 import dataclasses
 import hashlib
+import itertools
 import math
+import os
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from coalition_lp import asymptotics
 from coalition_lp.election import (
-    antiplurality, borda, k_approval, normalize, plurality, three_candidate,
+    MTooLarge, antiplurality, borda, k_approval, normalize, plurality, three_candidate,
 )
 from coalition_lp.asymptotics import (
-    DEFAULT_GRID, GridTooCoarse, Verdict, convergence_experiment, convergence_from_csv,
-    convergence_to_csv, curve_from_csv, curve_to_csv, dominates, gap_cdf,
-    gw_curve, isotonic, limit_model, plateau_probability, sample_vw,
-    sample_vw_batch, vw_from_z,
+    BLOCK, CHUNK, DEFAULT_GRID, GridTooCoarse, Verdict, _merge_exchange, _top_two_mean,
+    convergence_experiment, convergence_from_csv, convergence_to_csv, curve_from_csv,
+    curve_to_csv, dominates, gap_cdf, gw_curve, isotonic, limit_model, plateau_probability,
+    resolve_threads, sample_vw, sample_vw_batch, vw_from_z,
 )
 
 
@@ -119,6 +122,44 @@ def test_curve_bytes_are_pinned(label):
     assert hashlib.sha256(curve_to_csv(curve, label, rule.m, 17).encode()).hexdigest() == digest
 
 
+def test_merge_exchange_sorts_every_zero_one_vector():
+    # by the 0-1 principle a network that sorts every 0/1 vector sorts any input
+    assert [len(_merge_exchange(m)) for m in range(3, 9)] == [3, 5, 9, 12, 16, 19]
+    for m in range(3, 9):
+        for bits in itertools.product((0, 1), repeat=m):
+            v = list(bits)
+            for i, j in _merge_exchange(m):
+                v[i], v[j] = min(v[i], v[j]), max(v[i], v[j])
+            assert v == sorted(bits)
+
+
+def sorted_draw(seed, size, m):
+    z = np.random.default_rng(seed).standard_normal((size, m))
+    z.sort(axis=1)
+    return z
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9, 12])
+def test_top_two_mean_is_sort_and_mean(m):
+    # the network-sorted blocks and their column sums must equal numpy to the last bit
+    for size in (1, BLOCK - 1, BLOCK + 1, CHUNK + 20_000):
+        top, second, zbar = _top_two_mean(np.random.default_rng(m + size), size, m)
+        z = sorted_draw(m + size, size, m)
+        assert np.array_equal(top, z[:, -1])
+        assert np.array_equal(second, z[:, -2])
+        assert np.array_equal(zbar, z.mean(axis=1))
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_plateau_count_is_sort_and_mean(m):
+    samples = CHUNK + 20_000
+    count = 0
+    for idx, size in enumerate((CHUNK, 20_000)):
+        z = sorted_draw(np.random.SeedSequence((5, idx)), size, m)
+        count += int((z[:, -2] < z.mean(axis=1)).sum())
+    assert plateau_probability(m, samples, seed=5, threads=2)[0] == count / samples
+
+
 def test_isotonic_pooling():
     assert isotonic([1.0, 3.0, 2.0]) == [1.0, 2.5, 2.5]
     assert isotonic([3.0, 1.0]) == [2.0, 2.0]
@@ -166,6 +207,15 @@ def test_gw_curve_deterministic_across_threads():
 def test_plateau_independent_of_threads():
     assert plateau_probability(4, 600_000, seed=8, threads=1) == plateau_probability(
         4, 600_000, seed=8, threads=2)
+
+
+def test_threads_default_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("COALITION_LP_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert resolve_threads() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_threads() == 2
 
 
 def test_gw_curve_joins_its_workers():
@@ -282,6 +332,15 @@ def test_convergence_experiment():
     anti = convergence_experiment(antiplurality(3), [400], trials=10_000,
                                   seed=4, limit_samples=200_000)
     assert 0.3 < anti[0].unreachable_fraction < 0.7
+
+
+def test_convergence_checks_m_before_the_limit_curve(monkeypatch):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the limit curve was sampled before m was checked")
+
+    monkeypatch.setattr(asymptotics, "gw_curve", no_curve)
+    with pytest.raises(MTooLarge):
+        convergence_experiment(borda(9), [10], trials=10, limit_samples=4_000_000)
 
 
 def test_convergence_csv_round_trip():
