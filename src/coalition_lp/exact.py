@@ -201,16 +201,7 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
             issues.append(f"ballot type {t} outside the allowed set")
         if amt < -tol:
             issues.append(f"negative ballot count {amt} for {t}")
-    xs = sum(plan.x.values())
-    ys = sum(plan.y.values())
-    if abs(xs - ys) > tol:
-        issues.append(f"coalition size mismatch: recruits {xs}, ballots {ys}")
-    if strata_z is not None:
-        for i, stratum in enumerate(inst.strata):
-            got = sum(plan.x.get(t, 0) for t in stratum)
-            if abs(got - strata_z[i]) > tol:
-                issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
-    # an exact plan is scored in ints: weights and amounts each over their common denominator
+    # an exact plan is summed and scored in ints: weights and amounts each over their common denominator
     amounts = (*plan.x.values(), *plan.y.values())
     exact = inst.rule.is_rational and all(map(_is_exact, amounts))
     if exact:
@@ -219,8 +210,20 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
         x, y = ({t: a.numerator * (den // a.denominator) for t, a in part.items()}
                 for part in (plan.x, plan.y))
         unit = scale * den
+
+        def total(amts):
+            return Fraction(sum(amts), den)
     else:
-        scale, weights, unit, x, y = 1, inst.rule.weights, 1, plan.x, plan.y
+        scale, weights, unit, x, y, total = 1, inst.rule.weights, 1, plan.x, plan.y, sum
+    xs = total(x.values())
+    ys = total(y.values())
+    if abs(xs - ys) > tol:
+        issues.append(f"coalition size mismatch: recruits {xs}, ballots {ys}")
+    if strata_z is not None:
+        for i, stratum in enumerate(inst.strata):
+            got = total(x.get(t, 0) for t in stratum)
+            if abs(got - strata_z[i]) > tol:
+                issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
     rows = {t: _score_row(t, weights) for t in {*x, *y}}
     target = inst.beta
     for alpha in range(inst.m):

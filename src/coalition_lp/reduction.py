@@ -15,6 +15,11 @@ which is +inf exactly when a recession ray of M_w has positive objective
 value as a primal LP over per-stratum recruitment totals z, and
 witness_from_z turns any feasible z into an explicit fractional coalition
 plan for the stratified program.
+
+For a rational rule the exact geometry and the witness's per-type amounts
+are computed on Python ints: M_w's rows scaled by the weights' common
+denominator, and the amounts as numerators over one common denominator.
+Fractions are built only for the vertices and plan entries returned.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .election import InvalidInput, ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, top_two
+from .election import (
+    InvalidInput, ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, _typed, integer_weights, top_two,
+)
 from .exact import CoalitionPlan, ManipulationInstance, verify_stratified_plan
 
 
@@ -141,7 +148,11 @@ def _hull_ccw(points):
 
 
 def mw_polytope(rule: ScoreVector) -> Polytope2D:
-    """The feasible region of the two-variable dual program for the rule."""
+    """The feasible region of the two-variable dual program for the rule.
+
+    Rational rows (W[i], S - W[i-1], S) meet by Cramer's rule in ints; a
+    float rule's points are divided out first and tested within TIE_TOL.
+    """
     w = rule.weights
     m = rule.m
     exact = rule.is_rational
@@ -152,23 +163,26 @@ def mw_polytope(rule: ScoreVector) -> Polytope2D:
         rows.append((w[i] + zero, one - w[i - 1], one))
     rows.append((-one, zero, zero))  # 0 <= lam
     rows.append((one, -one, zero))  # lam <= mu
-
-    def feasible(pt):
-        slackless = TIE_TOL if not exact else 0
-        return all(cl * pt[0] + cm * pt[1] <= rhs + slackless for cl, cm, rhs in rows)
+    lines = rows
+    if exact:
+        scale, ints = integer_weights(_typed(rule))
+        lines = [(ints[i], scale - ints[i - 1], scale) for i in range(1, m)] + [(-1, 0, 0), (1, -1, 0)]
 
     points = set()
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            a1, b1, c1 = rows[i]
-            a2, b2, c2 = rows[j]
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1:]:
             det = a1 * b2 - a2 * b1
-            if det == 0 or (not exact and abs(det) <= TIE_TOL):
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if feasible((x, y)):
-                points.add((x, y))
+            xn = c1 * b2 - c2 * b1
+            yn = a1 * c2 - a2 * c1
+            if exact:
+                if det < 0:
+                    det, xn, yn = -det, -xn, -yn
+                if det and all(cl * xn + cm * yn <= rhs * det for cl, cm, rhs in lines):
+                    points.add((Fraction(xn, det), Fraction(yn, det)))
+            elif abs(det) > TIE_TOL:
+                x, y = xn / det, yn / det
+                if all(cl * x + cm * y <= rhs + TIE_TOL for cl, cm, rhs in lines):
+                    points.add((x, y))
     vertices = _hull_ccw(points)
     # Only the anti-plurality shape is unbounded: a direction (dl, dm) != 0 with
     # 0 <= dl <= dm stays inside every row only if all of w[1..m-1] equal 1,
@@ -212,15 +226,16 @@ def cone_optimal_vertices(poly: Polytope2D) -> tuple:
     """
     m = poly.m
     slope = Fraction(m, m - 1)  # dB/dtheta along d(theta) = (1, -1 + theta*m/(m-1))
+    points = [(Fraction(x), Fraction(y)) for x, y in poly.vertices]
     out = []
-    for v in poly.vertices:
+    for v, (vx, vy) in zip(poly.vertices, points):
         lo, hi = Fraction(0), Fraction(1)
         feasible = True
-        for u in poly.vertices:
+        for u, (ux, uy) in zip(poly.vertices, points):
             if u == v:
                 continue
-            c0 = Fraction(v[0] - u[0]) - Fraction(v[1] - u[1])
-            c1 = Fraction(v[1] - u[1]) * slope
+            c0 = (vx - ux) - (vy - uy)
+            c1 = (vy - uy) * slope
             if c1 > 0:
                 lo = max(lo, -c0 / c1)
             elif c1 < 0:
@@ -351,8 +366,17 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
     a_s = conv(inst.scores[inst.a])
     b_s = conv(inst.scores[inst.b])
     mean = conv(inst.mean_score)
-    A = sum(z[j] * conv(w[j + 1]) for j in range(m - 1))
-    B = sum(z[j] * (1 - conv(w[j])) for j in range(m - 1))
+    if exact:
+        # z as ints zs over dz, the weights as ints over scale
+        scale, ints = integer_weights(_typed(inst.rule))
+        dz = math.lcm(*(zi.denominator for zi in z))
+        zs = [zi.numerator * (dz // zi.denominator) for zi in z]
+        A = Fraction(sum(zj * wj for zj, wj in zip(zs, ints[1:])), dz * scale)
+        B = Fraction(sum(zj * (scale - wj) for zj, wj in zip(zs, ints)), dz * scale)
+    else:
+        zs = z
+        A = sum(z[j] * conv(w[j + 1]) for j in range(m - 1))
+        B = sum(z[j] * (1 - conv(w[j])) for j in range(m - 1))
     if A + B < a_s - b_s - tol * 10:
         raise ZInfeasible("z misses the catch-up row")
     if B < mean - b_s - tol * 10:
@@ -375,7 +399,8 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
         v = {others[0]: conv(1)}
     else:
         denom = r * A + B / (m - 3)
-        caps_rhs = {al: b_s - conv(inst.scores[al]) + Fraction(m - 2, m - 3) * B for al in others}
+        share = Fraction(m - 2, m - 3) * B
+        caps_rhs = {al: b_s - conv(inst.scores[al]) + share for al in others}
         if denom <= tol:
             u = {al: conv(1) / (m - 2) for al in others}
         else:
@@ -391,13 +416,24 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
 
     def add(table, t, amount):
         if amount:
-            table[t] = table.get(t, conv(0)) + amount
+            table[t] = table.get(t, 0) + amount
 
     # per-type amounts, each product formed once per (candidate, stratum), left to right
     ru = {c: r * u[c] for c in others}
     rv = {c: (1 - r) * v[c] for c in others}
-    bury = {(c, i): ru[c] * z[i - 1] / fact_small for c in others for i in range(1, m - 1)}
-    keep = {(c, i): rv[c] * z[i - 1] / fact_small for c in others for i in range(2, m - 1)}
+    if exact:
+        # Every amount q * z[j] / fact, with q one of the O(m) scalars below, is an
+        # int over den: q * lq and z[j] * dz are ints and fact divides fact_mid.
+        lq = math.lcm(*(q.denominator for q in (1 - r, *ru.values(), *rv.values(), *v.values())))
+        den = lq * dz * fact_mid
+
+    def per(q, zi, fact):
+        if exact:
+            return q.numerator * (lq // q.denominator) * zi * (fact_mid // fact)
+        return q * zi / fact
+
+    bury = {(c, i): per(ru[c], zs[i - 1], fact_small) for c in others for i in range(1, m - 1)}
+    keep = {(c, i): per(rv[c], zs[i - 1], fact_small) for c in others for i in range(2, m - 1)}
     # recruits who bury a at the bottom, keyed by their own last-place candidate
     for i in range(1, m - 1):
         for t in inst.strata[i - 1]:
@@ -413,22 +449,22 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
             if t[i] == inst.a:
                 add(y, t, keep[t[i - 1], i])
     # top-stratum recruits who vote sincerely
-    amount = (1 - r) * z[0] / fact_mid
+    amount = per(1 - r, zs[0], fact_mid)
     for t in inst.strata[0]:
         add(x, t, amount)
         add(y, t, amount)
     # bottom-stratum recruits (a already last on their sincere ballot)
-    low = {c: v[c] * z[m - 2] / fact_small for c in others}
+    low = {c: per(v[c], zs[m - 2], fact_small) for c in others}
     for t in inst.strata[m - 2]:
         add(x, t, low[t[0]])
     for t in inst.first_types:
         if t[m - 1] == inst.a:
             add(y, t, low[t[m - 2]])
 
-    plan = CoalitionPlan(
-        x={t: amt for t, amt in x.items() if amt != 0},
-        y={t: amt for t, amt in y.items() if amt != 0},
-    )
+    def entries(table):
+        return {t: Fraction(amt, den) if exact else amt for t, amt in table.items() if amt != 0}
+
+    plan = CoalitionPlan(x=entries(x), y=entries(y))
     check_tol = 0 if exact else 1e-7
     issues = verify_stratified_plan(inst, plan, z=z, tol=check_tol)
     if issues:

@@ -3,10 +3,12 @@
 Nothing here imports the solver or search code under test.  The LP oracle
 enumerates basic points directly and the brute coalition oracle tries every
 recruit/ballot multiset; both are exponential and only meant for tiny
-inputs.  The milp coalition oracle hands program (1) to scipy's HiGHS
+inputs.  The polytope oracle intersects the dual's half-planes pairwise in
+Fractions.  The milp coalition oracle hands program (1) to scipy's HiGHS
 branch and bound, for profiles too big to brute-force.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -176,3 +178,41 @@ def milp_mcs(profile, rule, strict_win=False, *, target=None, unrestricted=False
         elif res.status != 2:  # 2: infeasible
             raise RuntimeError(f"milp failed on target {beta}: {res.message}")
     return best
+
+
+def polytope_vertices(rule):
+    """Vertices of M_w for a rational rule, counterclockwise from the least (lam, mu).
+
+    M_w is cut by w[i]*lam + (1 - w[i-1])*mu <= 1 (i = 1..m-1), -lam <= 0 and
+    lam - mu <= 0.  Every feasible point where two non-parallel boundary
+    lines cross is a basic feasible point of that system, hence a vertex, and
+    every vertex is one; they are ordered by angle around their centroid.
+    """
+    w = [Fraction(x) for x in rule.weights]
+    halfplanes = [(w[i], 1 - w[i - 1], Fraction(1)) for i in range(1, len(w))]
+    halfplanes += [(Fraction(-1), Fraction(0), Fraction(0)), (Fraction(1), Fraction(-1), Fraction(0))]
+    points = set()
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(halfplanes, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        pt = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+        if all(a * pt[0] + b * pt[1] <= c for a, b, c in halfplanes):
+            points.add(pt)
+    if len(points) <= 2:
+        return tuple(sorted(points))
+    cx = sum(p[0] for p in points) / len(points)
+    cy = sum(p[1] for p in points) / len(points)
+
+    def before(p, q):
+        # angle of p - centroid against q - centroid, both in [0, 2*pi)
+        dp, dq = (p[0] - cx, p[1] - cy), (q[0] - cx, q[1] - cy)
+        hp, hq = (dp[1] < 0 or (dp[1] == 0 and dp[0] < 0)), (dq[1] < 0 or (dq[1] == 0 and dq[0] < 0))
+        if hp != hq:
+            return -1 if hq else 1
+        cross = dp[0] * dq[1] - dp[1] * dq[0]
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    ring = sorted(points, key=functools.cmp_to_key(before))
+    start = ring.index(min(points))
+    return tuple(ring[start:] + ring[:start])

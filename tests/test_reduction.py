@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalition_lp.election import (
-    Profile, antiplurality, borda, k_approval, normalize, plurality, sample_ic,
-    scoreboard, three_candidate, top_two,
+    Profile, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
+    sample_ic, scoreboard, three_candidate, top_two,
 )
 from coalition_lp.exact import (
     ManipulationInstance, q3, q_program2, verify_stratified_plan,
@@ -19,6 +19,7 @@ from coalition_lp.reduction import (
     ZInfeasible, closed_form_q, cone_optimal_vertices, mw_polytope,
     optimal_vertex_set, q_dual, q_stratified, sigma_scaled, witness_from_z,
 )
+from oracles import polytope_vertices
 from test_election import _pinned_rules
 
 
@@ -244,6 +245,116 @@ def test_witness_plans_are_pinned():
                     digest.update(repr((sorted(plan.x.items()), sorted(plan.y.items()))).encode())
                     count += 1
     assert (count, digest.hexdigest()) == PINNED_WITNESSES
+
+
+def _random_rational_rule(rng, m):
+    while True:
+        raw = sorted((Fraction(rng.randint(0, 24), rng.randint(1, 12)) for _ in range(m)), reverse=True)
+        if raw[0] != raw[-1]:
+            return normalize(raw)
+
+
+def _polytope_rules():
+    """Named families (every k-approval), seeded random rational rules, odd and float rules."""
+    rules = []
+    for m in range(3, 9):
+        rules += [borda(m), *(k_approval(m, k) for k in range(1, m))]
+        rules += _pinned_rules(m) if m <= 6 else ()
+        rng = random.Random(f"polytope-{m}")
+        rules += [_random_rational_rule(rng, m) for _ in range(20)]
+        rules += [normalize(sorted((rng.random() for _ in range(m)), reverse=True)) for _ in range(3)]
+    rules += [three_candidate(Fraction(p)) for p in ("1/4", "1/3", "1/2", "2/3", "4/5", "1")]
+    rules += [parse_rule(text) for text in (
+        "weights:1,1e-300,0", "weights:1,1,1/2,0", "weights:1,0.3333333333,0.3333333333,0",
+        "weights:1.0,0.6,0.0", "weights:1,0.6,0.2,0", "weights:1,1,0.5,0",
+    )]
+    return rules
+
+
+PINNED_POLYTOPES = (207, "72810b467e8c03d64e3d0195aaa081a79ef1c8484f30a5881a78bd9798421eb5")
+
+
+def test_polytope_geometry_is_pinned():
+    """repr of every rule's vertices, rays, rows and cone-optimal vertices, hashed.
+
+    Recorded while mw_polytope intersected its rows in Fractions and
+    cone_optimal_vertices converted each vertex difference to a Fraction: the exact
+    geometry must stay the same Fractions and the float geometry the same
+    floats, bit for bit.
+    """
+    digest = hashlib.sha256()
+    rules = _polytope_rules()
+    for rule in rules:
+        poly = mw_polytope(rule)
+        digest.update(repr((poly.vertices, poly.rays, poly.rows, cone_optimal_vertices(poly))).encode())
+    assert (len(rules), digest.hexdigest()) == PINNED_POLYTOPES
+
+
+@given(m=st.integers(3, 8), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_polytope_matches_oracle(m, data):
+    raw = data.draw(st.lists(st.fractions(min_value=0, max_value=10, max_denominator=30),
+                             min_size=m, max_size=m))
+    raw.sort(reverse=True)
+    if raw[0] == raw[-1]:
+        raw[0] += 1
+    rule = normalize(raw)
+    assert mw_polytope(rule).vertices == polytope_vertices(rule)
+
+
+def _witness_branch_case(label):
+    """(instance, z) reaching one branch of the exact construction; z None is q_stratified's."""
+    tie = {"borda4": (borda(4), (6, 6, 3, 1)), "plurality5": (plurality(5), (5, 5, 2, 2, 1))}
+    cases = {
+        "m3-borda": (borda(3), (10, 7, 4), None),
+        "m3-hard": (three_candidate(Fraction(1, 3)), (Fraction(31, 2), 12, 9), None),
+        "m3-int-z": (borda(3), (10, 7, 4), (4, 2)),
+        "a0-plurality4": (plurality(4), (10, 8, 7, 5), None),
+        "a0-plurality5-int-z": (plurality(5), (9, 7, 6, 2, 1), (2, 1, 3, 0)),
+        "int-z-borda4": (borda(4), (30, 25, 20, 17), (6, 3, 1)),
+        "int-z-two-dot": (normalize((1, 1, Fraction(1, 2), 0)), (40, 33, 30, 25), (0, 10, 4)),
+        # 1 - r = 2/3 cancels a factor 2 of v's denominator 44: only v brings it to the low amounts
+        "v-den-approval5-int-z": (k_approval(5, 2), (31, 38, 13, 31, 23), (9, 0, 2, 2)),
+    }
+    if label.startswith("uniform-u-"):
+        # a tie between a and b with B = r*A = 0: the zero denominator
+        rule, scores = tie[label.removeprefix("uniform-u-")]
+        z = (1, 0, 0) if rule.m == 4 else (2, 0, 0, 0)
+        return ManipulationInstance._build(rule, scores, 0, 1, 1, None), z
+    rule, scores, z = cases[label]
+    inst = ManipulationInstance.from_scores(rule, scores)
+    if z is None:
+        mean = inst.mean_score
+        z = q_stratified(MarginPair(scores[inst.a] - mean, mean - scores[inst.b]), rule)[1]
+    return inst, z
+
+
+PINNED_BRANCH_WITNESSES = {
+    "m3-borda": "923e875ee48dee18",
+    "m3-hard": "c5bf8e6dfeac500d",
+    "m3-int-z": "35c9e87ca742ec13",
+    "a0-plurality4": "921becbeabc903e6",
+    "a0-plurality5-int-z": "75adfa3c2a683862",
+    "uniform-u-borda4": "08605f15814afa4c",
+    "uniform-u-plurality5": "55c2692ce0d7c0e4",
+    "int-z-borda4": "871fb0d9d30fee49",
+    "int-z-two-dot": "d09db1c14c062de6",
+    "v-den-approval5-int-z": "e380b2050e9764e1",
+}
+
+
+@pytest.mark.parametrize("label", PINNED_BRANCH_WITNESSES)
+def test_witness_branches_are_pinned(label):
+    """Plans recorded earlier, for each branch of the exact construction.
+
+    m = 3, A = 0 (r = 0), a zero denominator (uniform u), integer z, and a
+    v whose denominator no other scalar carries.
+    """
+    inst, z = _witness_branch_case(label)
+    plan = witness_from_z(inst, z)
+    assert verify_stratified_plan(inst, plan, z) == []
+    text = repr((sorted(plan.x.items()), sorted(plan.y.items())))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_BRANCH_WITNESSES[label]
 
 
 def test_witness_float_rule():
