@@ -228,7 +228,7 @@ class Profile:
         _check_m(self.m)
         if len(self.counts) != math.factorial(self.m):
             raise ValueError("counts must have length m!")
-        if any(c < 0 or c != int(c) for c in self.counts):
+        if any(isinstance(c, bool) or c < 0 or c != int(c) for c in self.counts):
             raise ValueError("counts must be non-negative integers")
         if sum(self.counts) < 1:
             raise ValueError("profile needs at least one voter")
@@ -239,7 +239,9 @@ class Profile:
         _check_m(m)
         dense = [0] * math.factorial(m)
         for ranking, c in counts.items():
-            dense[ranking_index(ranking, m)] += int(c)
+            if isinstance(c, bool):  # 0 + True would pass as the int 1
+                raise ValueError("counts must be non-negative integers")
+            dense[ranking_index(ranking, m)] += c
         return cls(m, tuple(dense))
 
     @property
@@ -315,33 +317,47 @@ class Scoreboard:
         return sum(self.scores) / self.m
 
 
-def _typed(rule: ScoreVector) -> tuple:
-    """A cache key for the rule: its weights and their types, as Fraction(1, 2) == 0.5."""
-    return rule.weights, tuple(map(type, rule.weights))
+@functools.lru_cache(maxsize=8)
+def _type_maps(m):
+    """Each type's rank among all_rankings(m) and its candidates' places (inverse permutation)."""
+    types = all_rankings(m)
+    return {t: i for i, t in enumerate(types)}, {t: tuple(map(t.index, range(m))) for t in types}
 
 
 @functools.lru_cache(maxsize=16)
-def integer_weights(key):
-    """(scale, ints) for a rational rule's _typed key: the lcm of the denominators, w * scale."""
-    weights = [Fraction(w) for w in key[0]]
+def integer_weights(*weights):
+    """(scale, ints) of rational weights: the lcm of their denominators, and w * scale."""
+    weights = [Fraction(w) for w in weights]
     scale = math.lcm(*(w.denominator for w in weights))
     return scale, tuple(int(w * scale) for w in weights)
+
+
+def type_scores(rule: ScoreVector) -> tuple:
+    """(scale, rows): rows[t][c] / scale is what one ballot of type t gives candidate c.
+
+    rows maps every type, in all_rankings order, to ints over integer_weights'
+    scale for a rational rule and to the rule's own weights over 1 otherwise.
+    """
+    return _type_scores(*rule.weights)
+
+
+@functools.lru_cache(maxsize=16, typed=True)  # Fraction(1, 2) == 0.5, and both hash alike
+def _type_scores(*weights):
+    scale, w = integer_weights(*weights) if all(map(_is_exact, weights)) else (1, weights)
+    return scale, {t: tuple(w[p] for p in places) for t, places in _type_maps(len(w))[1].items()}
 
 
 def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
     """Candidate totals; a rational rule's are summed in ints over the weights' common denominator."""
     if rule.m != profile.m:
         raise ValueError("rule and profile must share m")
+    scale, rows = type_scores(rule)
+    scores = [0 if rule.is_rational else 0.0] * profile.m
+    for row, c in zip(rows.values(), profile.counts):
+        if c:
+            for cand, s in enumerate(row):
+                scores[cand] += c * s
     if rule.is_rational:
-        scale, weights = integer_weights(_typed(rule))
-        scores = [0] * profile.m
-    else:
-        scale, weights = None, rule.weights
-        scores = [0.0] * profile.m
-    for ranking, c in profile.items():
-        for pos, cand in enumerate(ranking):
-            scores[cand] += c * weights[pos]
-    if scale is not None:
         scores = [Fraction(s, scale) for s in scores]
     return Scoreboard(tuple(scores), profile.n)
 
@@ -354,14 +370,11 @@ def top_two(board: Scoreboard):
     return a, b, strict
 
 
-def score_matrix(rule: ScoreVector, dtype=float) -> np.ndarray:
-    """Dense (m!, m) matrix: entry [t, c] is the score ballot type t gives candidate c."""
-    types = all_rankings(rule.m)
-    out = np.empty((len(types), rule.m), dtype=dtype)
-    for i, ranking in enumerate(types):
-        for pos, cand in enumerate(ranking):
-            out[i, cand] = float(rule.weights[pos])
-    return out
+def score_matrix(rule: ScoreVector) -> np.ndarray:
+    """Dense (m!, m) float matrix: entry [t, c] is the score ballot type t gives candidate c."""
+    scale, rows = type_scores(rule)
+    # int / int rounds once, as float(Fraction) does, also past 2**53
+    return np.array([[s / scale for s in row] for row in rows.values()], dtype=float)
 
 
 # --------------------------------------------------------------------- #
@@ -372,7 +385,8 @@ def sample_ic(n: int, m: int, seed) -> Profile:
     """Draw one impartial-culture profile: n voters iid uniform over the m! types."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    fact = len(all_rankings(m))  # validates the m range
+    _check_m(m)
+    fact = math.factorial(m)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.multinomial(n, [1.0 / fact] * fact)
     return Profile(m, tuple(int(c) for c in counts))
@@ -380,6 +394,7 @@ def sample_ic(n: int, m: int, seed) -> Profile:
 
 def sample_scoreboards(n: int, rule: ScoreVector, trials: int, rng) -> np.ndarray:
     """Vectorized IC sampling: (trials, m) float array of candidate scores."""
-    fact = len(all_rankings(rule.m))
+    _check_m(rule.m)
+    fact = math.factorial(rule.m)
     # one expression, so the int64 counts are freed before the product is formed
     return rng.multinomial(n, [1.0 / fact] * fact, size=trials).astype(float) @ score_matrix(rule)

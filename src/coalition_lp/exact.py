@@ -38,11 +38,12 @@ from .election import (
     ScoreVector,
     Scoreboard,
     _is_exact,
-    _typed,
+    _type_maps,
     all_rankings,
     integer_weights,
     scoreboard,
     top_two,
+    type_scores,
 )
 
 
@@ -58,25 +59,10 @@ MAX_EXACT_M = 4
 NODE_BUDGET = 10_000_000
 
 
-@lru_cache(maxsize=8)
-def _type_maps(m):
-    """Each type's rank among all_rankings(m) and its candidates' places (inverse permutation)."""
-    types = all_rankings(m)
-    return {t: i for i, t in enumerate(types)}, {t: tuple(map(t.index, range(m))) for t in types}
-
-
-@lru_cache(maxsize=16)
-def _lp_tables(key):
+@lru_cache(maxsize=16, typed=True)  # Fraction(1, 2) == 0.5, and both hash alike
+def _lp_tables(*w):
     """gain[i][j] = -(w[i] - w[j]) with beta in place i and alpha in j, and lift[j] = 1 - w[j]."""
-    w = key[0]
     return tuple(tuple(-(wi - wj) for wj in w) for wi in w), tuple(1 - wj for wj in w)
-
-
-@lru_cache(maxsize=16)
-def _score_rows(key):
-    """(scale, sig) of a rational rule: every type's integer score row, weights times scale."""
-    scale, weights = integer_weights(key)
-    return scale, {t: _score_row(t, weights) for t in all_rankings(len(weights))}
 
 
 @dataclass(frozen=True)
@@ -205,7 +191,7 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
     amounts = (*plan.x.values(), *plan.y.values())
     exact = inst.rule.is_rational and all(map(_is_exact, amounts))
     if exact:
-        scale, weights = integer_weights(_typed(inst.rule))
+        scale, weights = integer_weights(*inst.rule.weights)
         den = math.lcm(1, *(a.denominator for a in amounts))
         x, y = ({t: a.numerator * (den // a.denominator) for t, a in part.items()}
                 for part in (plan.x, plan.y))
@@ -224,13 +210,14 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
             got = total(x.get(t, 0) for t in stratum)
             if abs(got - strata_z[i]) > tol:
                 issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
-    rows = {t: _score_row(t, weights) for t in {*x, *y}}
+    places = _type_maps(inst.m)[1]
     target = inst.beta
     for alpha in range(inst.m):
         if alpha == target:
             continue
-        lhs = sum(amt * (scale - rows[t][alpha]) for t, amt in y.items())
-        lhs -= sum(amt * (rows[t][target] - rows[t][alpha]) for t, amt in x.items())
+        lhs = sum(amt * (scale - weights[places[t][alpha]]) for t, amt in y.items())
+        lhs -= sum(amt * (weights[places[t][target]] - weights[places[t][alpha]])
+                   for t, amt in x.items())
         rhs = inst.scores[alpha] - inst.scores[target]
         # compare the difference so exact inputs are never coerced to float
         if lhs - rhs * unit < -tol * unit:
@@ -264,7 +251,7 @@ def _coalition_lp(inst, xs, upper_slack=None) -> lp.LinearProgram:
 
     upper_slack=K adds the shrunk recruitment bounds x_t <= N_t - K.
     """
-    gain, lift = _lp_tables(_typed(inst.rule))
+    gain, lift = _lp_tables(*inst.rule.weights)
     places = _type_maps(inst.m)[1]
     ys = inst.first_types
     nx, ny = len(xs), len(ys)
@@ -321,19 +308,11 @@ def q_program2(profile: Profile, rule: ScoreVector):
 # Exhaustive integer search
 # --------------------------------------------------------------------- #
 
-def _score_row(ranking, weights):
-    """Per-candidate scores of one ballot: weights[pos] for the candidate in place pos."""
-    row = [0] * len(ranking)
-    for pos, cand in enumerate(ranking):
-        row[cand] = weights[pos]
-    return tuple(row)
-
-
 def _integer_tables(inst):
     """Scale every score by the lcm of weight denominators so the search is pure int."""
     if not inst.rule.is_rational:
         raise ValueError("the exact search needs a rational rule")
-    scale, sig = _score_rows(_typed(inst.rule))
+    scale, sig = type_scores(inst.rule)
     base = [int(Fraction(s) * scale) for s in inst.scores]
     return scale, sig, base
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import lp
 from .election import (
-    InvalidInput, ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, _typed, integer_weights, top_two,
+    InvalidInput, ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, integer_weights, top_two,
 )
 from .exact import CoalitionPlan, ManipulationInstance, verify_stratified_plan
 
@@ -165,7 +165,7 @@ def mw_polytope(rule: ScoreVector) -> Polytope2D:
     rows.append((one, -one, zero))  # lam <= mu
     lines = rows
     if exact:
-        scale, ints = integer_weights(_typed(rule))
+        scale, ints = integer_weights(*rule.weights)
         lines = [(ints[i], scale - ints[i - 1], scale) for i in range(1, m)] + [(-1, 0, 0), (1, -1, 0)]
 
     points = set()
@@ -368,7 +368,7 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
     mean = conv(inst.mean_score)
     if exact:
         # z as ints zs over dz, the weights as ints over scale
-        scale, ints = integer_weights(_typed(inst.rule))
+        scale, ints = integer_weights(*inst.rule.weights)
         dz = math.lcm(*(zi.denominator for zi in z))
         zs = [zi.numerator * (dz // zi.denominator) for zi in z]
         A = Fraction(sum(zj * wj for zj, wj in zip(zs, ints[1:])), dz * scale)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from coalition_lp.election import (
     ConstantVector, MTooLarge, NotMonotone, Profile, ScoreVector, TooFewCandidates,
     all_rankings, antiplurality, borda, k_approval, normalize, parse_rule,
-    plurality, ranking_index, sample_ic, sample_scoreboards, scoreboard,
-    three_candidate, top_two,
+    plurality, ranking_index, sample_ic, sample_scoreboards, score_matrix,
+    scoreboard, three_candidate, top_two,
 )
 from coalition_lp.exact import ManipulationInstance, _coalition_lp
 
@@ -89,6 +89,17 @@ def test_top_two_tie():
     prof = Profile.from_counts(3, {(0, 1, 2): 1, (1, 0, 2): 1})
     _, _, strict = top_two(scoreboard(prof, borda(3)))
     assert not strict
+
+
+def test_from_counts_keeps_counts_unconverted():
+    """A fractional or bool count is refused, as Profile refuses it, not truncated to an int."""
+    for counts in ({(0, 1, 2): 1.5}, {(0, 1, 2): 1, (1, 0, 2): True}):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Profile.from_counts(3, counts)
+    for counts in ((1.5, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Profile(3, counts)
+    assert Profile.from_counts(3, {(0, 1, 2): 2, (2, 1, 0): 1}).counts == (2, 0, 0, 0, 0, 1)
 
 
 def test_profile_json_round_trip():
@@ -186,7 +197,7 @@ def test_rational_scoreboard_is_the_fraction_sum(case):
 
 def _pinned_rules(m):
     """Plurality, Borda, 2-approval, anti-plurality, non-unit denominators, a float rule."""
-    tail = ("3/4", "1/3", "1/5", "1/7")[: m - 2]
+    tail = ("3/4", "1/3", "1/5", "1/7", "1/9", "1/11")[: m - 2]
     return (
         plurality(m), borda(m), k_approval(m, 2), antiplurality(m),
         parse_rule("weights:" + ",".join(("1", *tail, "0")), m),
@@ -230,3 +241,19 @@ def test_scoreboards_and_rows_are_pinned():
                             digest.update(repr(program).encode())
                             count += 1
     assert (count, digest.hexdigest()) == PINNED_BOARDS_AND_ROWS
+
+
+# weights over a common denominator above 2**53: float(w) is not float(ints) / float(scale) there
+PINNED_MATRIX_RULE = "weights:1,1/999983,1/1000003,1/1000033,1/1000037,0"
+PINNED_MATRICES = (37, "8aee899a774ce281367d2a4210ba917e66220448301338b426f4079fc417b020")
+
+
+def test_score_matrix_is_pinned():
+    """sha256 of the shape, dtype and bytes of score_matrix for _pinned_rules(m), m = 3..8."""
+    digest = hashlib.sha256()
+    rules = [rule for m in range(3, 9) for rule in _pinned_rules(m)]
+    rules.append(parse_rule(PINNED_MATRIX_RULE, 6))
+    for rule in rules:
+        matrix = score_matrix(rule)
+        digest.update(repr((matrix.shape, matrix.dtype)).encode() + matrix.tobytes())
+    assert (len(rules), digest.hexdigest()) == PINNED_MATRICES

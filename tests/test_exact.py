@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coalition_lp import exact, lp
+from coalition_lp import election, exact, lp
 from coalition_lp.election import (
     Profile, all_rankings, antiplurality, borda, integer_weights, normalize, parse_rule,
-    plurality, sample_ic, scoreboard, sigma, top_two,
+    plurality, sample_ic, scoreboard, sigma, top_two, type_scores,
 )
 from coalition_lp.exact import (
     CoalitionPlan, InstanceTooLarge, ManipulationInstance, NotStrictWinner, mcs_exact,
@@ -453,10 +453,14 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", recording)
     for order in ((rational, floating), (floating, rational)):
-        for cached in (exact._lp_tables, exact._score_rows, integer_weights):
+        for cached in (exact._lp_tables, election._type_scores, integer_weights):
             cached.cache_clear()
         for rule in order:
             kind = Fraction if rule is rational else float
+            scale, rows = type_scores(rule)
+            assert scale == (2 if rule is rational else 1)
+            assert {type(s) for row in rows.values() for s in row} \
+                == {int if rule is rational else float}
             inst = ManipulationInstance.from_profile(BORDA_TINY, rule)
             program = exact._coalition_lp(inst, inst.pref_types)
             assert program.is_rational is (rule is rational)
