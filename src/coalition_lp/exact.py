@@ -12,6 +12,16 @@ Three routes to a value live here:
 * q2 / q3: the LP relaxations with shrunk or dropped recruitment bounds;
 * q_program2: the LP over the adjacent strata of the runner-up only.
 
+q3 and q_program2 solve over the columns that can matter.  A recruit type
+ranking beta above a is dominated by the type that moves beta down to just
+above a and everyone in between up one place: w is non-increasing, so no row
+entry w[p(alpha)] - w[p(beta)] falls, while the cost and the size row stay.
+Only the (m-1)! types with a directly below beta are kept (ba_types when beta
+is the runner-up, so q3 there is program (2)), and of recruits or ballots
+with identical columns only one: plurality at m = 6 goes from 360 + 120
+columns to 5 + 1.  The value is unchanged.  q2 keeps the whole pool, since
+its per-type bounds break the dominance, and a float rule keeps every column.
+
 The search tries coalition sizes k upward from ceil(q3).  At each k it walks
 recruit multisets depth first and, at each leaf, looks for k target-first
 ballots that fit every candidate's cap.  Every node checks a score bound
@@ -29,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, permutations
 from time import perf_counter
 
 from . import lp
@@ -37,10 +47,8 @@ from .election import (
     Profile,
     ScoreVector,
     Scoreboard,
-    _is_exact,
     _type_maps,
     all_rankings,
-    integer_weights,
     scoreboard,
     top_two,
     type_scores,
@@ -91,6 +99,21 @@ class CoalitionPlan:
         }
 
 
+@lru_cache(maxsize=64)
+def _type_sets(m, a, b, beta):
+    """pref_types, first_types, strata and ba_types of an instance, in one pass over the types."""
+    pref, first, strata = [], [], [[] for _ in range(m - 1)]
+    for t, p in _type_maps(m)[1].items():
+        if p[beta] < p[a]:
+            pref.append(t)
+        if p[beta] == 0:
+            first.append(t)
+        if p[a] == p[b] + 1:
+            strata[p[b]].append(t)
+    strata = tuple(map(tuple, strata))
+    return tuple(pref), tuple(first), strata, sum(strata, ())
+
+
 @dataclass(frozen=True)
 class ManipulationInstance:
     """A profile/scoreboard with designated winner a, runner-up b, target beta.
@@ -117,16 +140,7 @@ class ManipulationInstance:
     def _build(cls, rule, scores, a, b, beta, profile):
         if beta == a:
             raise ValueError("the manipulation target must differ from the winner")
-        m = rule.m
-        places = _type_maps(m)[1]
-        pref = tuple(t for t, p in places.items() if p[beta] < p[a])
-        first = tuple(t for t in places if t[0] == beta)
-        strata = tuple(
-            tuple(t for t, p in places.items() if p[b] == i and p[a] == i + 1)
-            for i in range(m - 1)
-        )
-        ba = tuple(t for stratum in strata for t in stratum)
-        return cls(rule, tuple(scores), a, b, beta, profile, pref, first, strata, ba)
+        return cls(rule, tuple(scores), a, b, beta, profile, *_type_sets(rule.m, a, b, beta))
 
     @classmethod
     def from_profile(cls, profile: Profile, rule: ScoreVector, beta: int | None = None):
@@ -173,34 +187,37 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
     given, pins the per-stratum sums of x to the target z vector.
     """
     issues = []
+    # an exact plan is summed and scored in ints: weights, amounts and scores each over their
+    # common denominator
+    amounts = (*plan.x.values(), *plan.y.values())
+    exact = inst.rule.is_rational and {*map(type, (*amounts, *inst.scores))} <= {int, Fraction}
+
+    def negative(amt):  # below -tol; an exact amount is first tested by the sign of its numerator
+        return (not exact or amt.numerator < 0) and amt < -tol
+
     pool = set(pool)
     ballots = set(ballots)
     for t, amt in plan.x.items():
         if t not in pool:
             issues.append(f"recruit type {t} outside the allowed pool")
-        if amt < -tol:
+        if negative(amt):
             issues.append(f"negative recruitment {amt} for {t}")
         if bounds and amt - inst.count_of(t) > tol:
             issues.append(f"recruited {amt} of type {t}, only {inst.count_of(t)} exist")
     for t, amt in plan.y.items():
         if t not in ballots:
             issues.append(f"ballot type {t} outside the allowed set")
-        if amt < -tol:
+        if negative(amt):
             issues.append(f"negative ballot count {amt} for {t}")
-    # an exact plan is summed and scored in ints: weights and amounts each over their common denominator
-    amounts = (*plan.x.values(), *plan.y.values())
-    exact = inst.rule.is_rational and all(map(_is_exact, amounts))
     if exact:
-        scale, weights = integer_weights(*inst.rule.weights)
         den = math.lcm(1, *(a.denominator for a in amounts))
         x, y = ({t: a.numerator * (den // a.denominator) for t, a in part.items()}
                 for part in (plan.x, plan.y))
-        unit = scale * den
 
         def total(amts):
             return Fraction(sum(amts), den)
     else:
-        scale, weights, unit, x, y, total = 1, inst.rule.weights, 1, plan.x, plan.y, sum
+        x, y, total = plan.x, plan.y, sum
     xs = total(x.values())
     ys = total(y.values())
     if abs(xs - ys) > tol:
@@ -208,22 +225,45 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
     if strata_z is not None:
         for i, stratum in enumerate(inst.strata):
             got = total(x.get(t, 0) for t in stratum)
-            if abs(got - strata_z[i]) > tol:
+            if got != strata_z[i] and abs(got - strata_z[i]) > tol:
                 issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
-    places = _type_maps(inst.m)[1]
     target = inst.beta
-    for alpha in range(inst.m):
-        if alpha == target:
-            continue
-        lhs = sum(amt * (scale - weights[places[t][alpha]]) for t, amt in y.items())
+    others = [c for c in range(inst.m) if c != target]
+    if exact:
+        # lhs(alpha) = sum_y amt * (scale - row[alpha]) - sum_x amt * (row[target] - row[alpha])
+        scale, rows = type_scores(inst.rule)
+        unit = scale * den
+        got_x, got_y = _candidate_totals(x, rows, inst.m), _candidate_totals(y, rows, inst.m)
+        base = scale * sum(y.values()) - got_x[target]
+        sden = math.lcm(*(s.denominator for s in inst.scores))
+        lead = [s.numerator * (sden // s.denominator) * unit for s in inst.scores]
+        for alpha in others:
+            lhs = base - got_y[alpha] + got_x[alpha]
+            short = lhs * sden - (lead[alpha] - lead[target])  # (lhs - rhs * unit) * sden
+            if short < 0 and (not tol or Fraction(short, sden) < -tol * unit):
+                rhs = inst.scores[alpha] - inst.scores[target]
+                issues.append(f"candidate {alpha} stays ahead: {Fraction(lhs, unit)} < {rhs}")
+        return issues
+    places = _type_maps(inst.m)[1]
+    weights = inst.rule.weights
+    for alpha in others:
+        lhs = sum(amt * (1 - weights[places[t][alpha]]) for t, amt in y.items())
         lhs -= sum(amt * (weights[places[t][target]] - weights[places[t][alpha]])
                    for t, amt in x.items())
         rhs = inst.scores[alpha] - inst.scores[target]
         # compare the difference so exact inputs are never coerced to float
-        if lhs - rhs * unit < -tol * unit:
-            shown = Fraction(lhs, unit) if exact else lhs
-            issues.append(f"candidate {alpha} stays ahead: {shown} < {rhs}")
+        if lhs - rhs < -tol:
+            issues.append(f"candidate {alpha} stays ahead: {lhs} < {rhs}")
     return issues
+
+
+def _candidate_totals(amounts, rows, m):
+    """sum_t amounts[t] * rows[t][c] for every candidate c."""
+    totals = [0] * m
+    for t, amt in amounts.items():
+        for c, s in enumerate(rows[t]):
+            totals[c] += amt * s
+    return totals
 
 
 def verify_integral_plan(inst, plan, tol=0.0):
@@ -246,14 +286,14 @@ def verify_stratified_plan(inst, plan, z=None, tol=0.0):
 # LP relaxations (programs with and without recruitment bounds)
 # --------------------------------------------------------------------- #
 
-def _coalition_lp(inst, xs, upper_slack=None) -> lp.LinearProgram:
-    """Continuous coalition program: recruit from xs, cast ballots from first_types.
+def _coalition_lp(inst, xs, ys=None, upper_slack=None) -> lp.LinearProgram:
+    """Continuous coalition program: recruit from xs, cast ballots from ys (first_types).
 
     upper_slack=K adds the shrunk recruitment bounds x_t <= N_t - K.
     """
     gain, lift = _lp_tables(*inst.rule.weights)
     places = _type_maps(inst.m)[1]
-    ys = inst.first_types
+    ys = inst.first_types if ys is None else ys
     nx, ny = len(xs), len(ys)
     x_at, y_at = ([places[t] for t in types] for types in (xs, ys))
     rows = []
@@ -272,6 +312,29 @@ def _coalition_lp(inst, xs, upper_slack=None) -> lp.LinearProgram:
     return lp.LinearProgram(tuple([1] * nx + [0] * ny), "min", tuple(rows))
 
 
+@lru_cache(maxsize=16)
+def _lp_columns(rule):
+    """{(a, beta): (recruits, ballots)}: the columns of a rational rule's unbounded LP that matter.
+
+    The recruits of (a, beta) are the types that put a directly below beta
+    (ba_types when beta is the runner-up), its ballots the types that rank
+    beta first.  Of types with identical columns, w[p(alpha)] - w[p(beta)]
+    over alpha != beta for a recruit and w[p(alpha)] for a ballot, only the
+    first is kept.
+    """
+    rows = type_scores(rule)[1]
+    recruits = {pair: {} for pair in permutations(range(rule.m), 2)}
+    for i in range(rule.m - 1):  # stratum by stratum, as ba_types
+        for t, row in rows.items():
+            recruits[t[i + 1], t[i]].setdefault(tuple(s - row[t[i]] for s in row), t)
+    ballots = [{} for _ in range(rule.m)]
+    for t, row in rows.items():
+        ballots[t[0]].setdefault(row, t)
+    ballots = [tuple(kept.values()) for kept in ballots]
+    return {(a, beta): (tuple(kept.values()), ballots[beta])
+            for (a, beta), kept in recruits.items()}
+
+
 def _lp_value(program: lp.LinearProgram):
     out = lp.solve(program)
     if out.status is lp.LpStatus.INFEASIBLE:
@@ -281,9 +344,20 @@ def _lp_value(program: lp.LinearProgram):
     return out.value
 
 
+def _unbounded_lp_value(inst, pool):
+    """Value of the coalition LP over pool, without recruitment bounds.
+
+    A rational rule's is solved over _lp_columns, which has the same value; a
+    float rule's keeps pool, since its rounding depends on the columns.
+    """
+    if not inst.rule.is_rational:
+        return _lp_value(_coalition_lp(inst, pool))
+    return _lp_value(_coalition_lp(inst, *_lp_columns(inst.rule)[inst.a, inst.beta]))
+
+
 def q3(inst: ManipulationInstance):
     """LP lower bound for q1: no integrality, no recruitment bounds."""
-    return _lp_value(_coalition_lp(inst, inst.pref_types))
+    return _unbounded_lp_value(inst, inst.pref_types)
 
 
 def q2(inst: ManipulationInstance, slack):
@@ -297,7 +371,7 @@ def q_program2_from_instance(inst: ManipulationInstance):
     """Value of the stratified LP: recruits only from the runner-up's adjacent strata."""
     if inst.beta != inst.b:
         raise ValueError("the stratified program targets the runner-up")
-    return _lp_value(_coalition_lp(inst, inst.ba_types))
+    return _unbounded_lp_value(inst, inst.ba_types)
 
 
 def q_program2(profile: Profile, rule: ScoreVector):

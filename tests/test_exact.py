@@ -18,7 +18,7 @@ from coalition_lp.exact import (
     mcs_outcome, q1, q2, q3, q_program2, q_program2_from_instance,
     verify_integral_plan, verify_plan,
 )
-from coalition_lp.reduction import MarginPair, k_constant
+from coalition_lp.reduction import MarginPair, k_constant, mw_polytope, q_dual
 from oracles import brute_mcs, milp_mcs
 
 PLURALITY_TINY = Profile.from_counts(3, {(0, 1, 2): 4, (1, 0, 2): 3, (2, 1, 0): 1})
@@ -164,6 +164,91 @@ def test_runner_up_is_cheapest_relaxed_target():
             assert values[b] == min(values.values())
             assert values[b] == q_program2(prof, rule)
             checked += 1
+
+
+# The bound corpus of test_lp's pinned solves, with a float rule at every m.
+BOUND_CORPUS = ((3, 12, 2), (4, 20, 2), (5, 30, 1), (6, 40, 1))
+BOUND_RULES = ("plurality", "borda", "approval:2", "antiplurality")
+FLOAT_WEIGHTS = (1.0, 0.8, 0.55, 0.3, 0.1, 0.0)
+
+
+def _bound_rules(m):
+    rules = [parse_rule(text, m) for text in BOUND_RULES]
+    if m == 4:
+        rules.append(parse_rule("weights:1,1,1/2,0", 4))
+    return rules + [normalize(FLOAT_WEIGHTS[:m - 1] + (0.0,))]
+
+
+def _same_value(got, want, rule):
+    """Equal Fractions (or both infinite) for a rational rule; 1e-9 relative for a float one."""
+    if rule.is_rational or math.inf in (got, want):
+        assert got == want and type(got) is type(want)
+    else:
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_reduced_lps_keep_the_full_pool_values():
+    """q3 and q_program2 solve over undominated, merged columns and lose nothing.
+
+    Against the LP over every pref_types recruit, and over every ba_types
+    recruit, for every target of the bound corpus.
+    """
+    for m, n, profiles in BOUND_CORPUS:
+        for rule in _bound_rules(m):
+            for i in range(profiles):
+                profile = sample_ic(n, m, (31, m, i))
+                a, b, strict = top_two(scoreboard(profile, rule))
+                if not strict:
+                    continue
+                for beta in range(m):
+                    if beta == a:
+                        continue
+                    inst = ManipulationInstance.from_profile(profile, rule, beta)
+                    full = exact._lp_value(exact._coalition_lp(inst, inst.pref_types))
+                    _same_value(q3(inst), full, rule)
+                    if beta != b:
+                        continue
+                    stratified = exact._lp_value(exact._coalition_lp(inst, inst.ba_types))
+                    _same_value(q_program2_from_instance(inst), stratified, rule)
+                    _same_value(q3(inst), q_program2_from_instance(inst), rule)
+
+
+LP_COLUMN_COUNTS = {  # (recruits, ballots) of every (a, beta); the full pools hold m!/2 and (m-1)!
+    3: {"plurality": (2, 1), "borda": (2, 2), "approval:2": (2, 2), "antiplurality": (2, 2)},
+    4: {"plurality": (3, 1), "borda": (6, 6), "approval:2": (4, 3), "antiplurality": (3, 3)},
+    5: {"plurality": (4, 1), "borda": (24, 24), "approval:2": (7, 4), "antiplurality": (4, 4)},
+    6: {"plurality": (5, 1), "borda": (120, 120), "approval:2": (11, 5), "antiplurality": (5, 5)},
+}
+
+
+def test_lp_column_counts_are_pinned():
+    for m, counts in LP_COLUMN_COUNTS.items():
+        for text, want in counts.items():
+            table = exact._lp_columns(parse_rule(text, m))
+            assert len(table) == m * (m - 1)
+            assert {tuple(map(len, columns)) for columns in table.values()} == {want}, (m, text)
+
+
+def test_bracket_on_the_m4_benchmark_corpus():
+    """q_dual <= mcs <= q_dual + k_constant on the seed-9 m = 4 corpus of bench/workloads.py."""
+    strict_jobs = unreachable = 0
+    for n in (50, 200):
+        for i in range(8):
+            profile = sample_ic(n, 4, (9, n, i))
+            for text in ("plurality", "borda", "approval:2", "antiplurality", "weights:1,1,1/2,0"):
+                rule = parse_rule(text, 4)
+                board = scoreboard(profile, rule)
+                if not top_two(board)[2]:
+                    continue
+                strict_jobs += 1
+                dual = q_dual(MarginPair.from_scoreboard(board), mw_polytope(rule))
+                mcs = mcs_exact(profile, rule)
+                if math.inf in (dual, mcs):
+                    assert dual == mcs, (n, i, text)
+                    unreachable += 1
+                    continue
+                assert dual <= mcs <= dual + k_constant(rule), (n, i, text, mcs, dual)
+    assert (strict_jobs, unreachable) == (69, 2)
 
 
 def test_antiplurality_reachability():

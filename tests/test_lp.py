@@ -7,7 +7,7 @@ import pytest
 
 from coalition_lp import lp
 from coalition_lp.election import parse_rule, sample_ic, scoreboard, top_two
-from coalition_lp.exact import ManipulationInstance, q2, q3, q_program2
+from coalition_lp.exact import ManipulationInstance, _coalition_lp, _lp_value, q2
 from coalition_lp.lp import (
     DimensionMismatch, LinearProgram, LpStatus, StatusMismatch, dual_gap_check, solve,
 )
@@ -283,12 +283,19 @@ EXACT_PROGRAM_TESTS = (
 PINNED_RULES = ("plurality", "borda", "approval:2", "antiplurality", "weights:1,1,1/2,0")
 
 
+def _full_pool_lp(inst, pool):
+    """The coalition LP over all of pool: q3 over pref_types, program (2) over ba_types."""
+    return _lp_value(_coalition_lp(inst, pool))
+
+
 def _solve_the_bounds():
     """q3, q2 (slack 1), q_program2 and q_stratified on small IC profiles, m = 3..6.
 
-    q3 and q2 run for every non-winner target at m <= 4, q2 only for the
-    runner-up at m = 5, and neither q2 nor the other targets at m = 6, where one
-    q2 has 360 bound rows and takes seconds in exact arithmetic.
+    q3 and q_program2 are solved over their full pools, as recorded: the
+    library solves them over fewer columns, with the same values.  q3 and q2
+    run for every non-winner target at m <= 4, q2 only for the runner-up at
+    m = 5, and neither q2 nor the other targets at m = 6, where one q2 has 360
+    bound rows and takes seconds in exact arithmetic.
     """
     for m, n, profiles in ((3, 12, 2), (4, 20, 2), (5, 30, 1), (6, 40, 1)):
         for text in PINNED_RULES:
@@ -305,10 +312,11 @@ def _solve_the_bounds():
                     if beta == a or (m == 6 and beta != b):
                         continue
                     inst = ManipulationInstance.from_profile(profile, rule, beta)
-                    q3(inst)
+                    _full_pool_lp(inst, inst.pref_types)
                     if m <= 4 or (m == 5 and beta == b):
                         q2(inst, 1)
-                q_program2(profile, rule)
+                runner_up = ManipulationInstance.from_profile(profile, rule)
+                _full_pool_lp(runner_up, runner_up.ba_types)
                 q_stratified(MarginPair.from_scoreboard(board), rule)
 
 
