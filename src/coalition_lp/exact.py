@@ -22,6 +22,20 @@ with identical columns only one: plurality at m = 6 goes from 360 + 120
 columns to 5 + 1.  The value is unchanged.  q2 keeps the whole pool, since
 its per-type bounds break the dominance, and a float rule keeps every column.
 
+A rational rule with exact scores answers q3 and q_program2 from
+certificates where it can.  With the winner a relabelled 0, the target beta
+1 and the others 2.. by descending score, every (a, beta) is one program per
+rule (_canonical_lp) and only its right-hand side D, the leads over beta,
+moves.  An optimal basis B stays optimal wherever B^-1 D >= 0, since a
+change of right-hand side keeps it dual feasible (Bertsimas & Tsitsiklis,
+Introduction to Linear Optimization, 1997, section 5.1), and a Farkas ray y
+proves every D with y . D > 0 unreachable.  A right-hand side that none of
+the rule's stored certificates (at most MAX_CERTIFICATES) answers is solved;
+the solve hands out its final basis (lp._KeepsBasis), and the certificate it
+gives is checked once, exactly, before it is stored.  An LP's optimal value
+is unique, so no value depends on what is stored or on the order of calls.
+Float rules, exact weights with float scores, and q2 solve as before.
+
 The search tries coalition sizes k upward from ceil(q3).  At each k it walks
 recruit multisets depth first and, at each leaf, looks for k target-first
 ballots that fit every candidate's cap.  Every node checks a score bound
@@ -40,6 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
+from operator import mul
 from time import perf_counter
 
 from . import lp
@@ -47,6 +62,7 @@ from .election import (
     Profile,
     ScoreVector,
     Scoreboard,
+    _is_exact,
     _type_maps,
     all_rankings,
     scoreboard,
@@ -347,12 +363,154 @@ def _lp_value(program: lp.LinearProgram):
 def _unbounded_lp_value(inst, pool):
     """Value of the coalition LP over pool, without recruitment bounds.
 
-    A rational rule's is solved over _lp_columns, which has the same value; a
-    float rule's keeps pool, since its rounding depends on the columns.
+    A rational rule's is solved over _lp_columns, which has the same value,
+    and answered from the rule's certificates when its scores are exact.  A
+    float rule's keeps pool, and exact weights with float scores their
+    (a, beta) columns: their rounding depends on the columns and the rows.
     """
     if not inst.rule.is_rational:
         return _lp_value(_coalition_lp(inst, pool))
-    return _lp_value(_coalition_lp(inst, *_lp_columns(inst.rule)[inst.a, inst.beta]))
+    if not all(map(_is_exact, inst.scores)):
+        return _lp_value(_coalition_lp(inst, *_lp_columns(inst.rule)[inst.a, inst.beta]))
+    return _certified_value(inst)
+
+
+MAX_CERTIFICATES = 32  # per rule
+
+
+@lru_cache(maxsize=16, typed=True)  # Fraction(1, 2) == 0.5, and both hash alike
+def _canonical_lp(*weights):
+    """(cost, rows, certificates): a rational rule's q3 program, winner relabelled 0, target 1.
+
+    Its columns are _lp_columns(rule)[0, 1], scaled by the weights' common
+    denominator S: row alpha, for alpha in 0, 2, .., m-1, reads
+    S*(w[p(alpha)] - w[p(1)]) on a recruit and S*(1 - w[p(alpha)]) on a
+    ballot, >= S*D[alpha] with D[alpha] the lead of alpha over beta; the last
+    row is sum(ballots) - sum(recruits) = 0.  Every (a, beta) of a profile is
+    this program with another D.  certificates is the rule's list of them,
+    in the order found; it stops growing at MAX_CERTIFICATES, and a hit
+    leaves it as it is.
+    """
+    rule = ScoreVector(weights)
+    scale, rows = type_scores(rule)
+    recruits, ballots = _lp_columns(rule)[0, 1]
+    columns = [(*(row[alpha] - row[1] for alpha in range(rule.m) if alpha != 1), -1)
+               for row in map(rows.get, recruits)]
+    columns += [(*(scale - row[alpha] for alpha in range(rule.m) if alpha != 1), 1)
+                for row in map(rows.get, ballots)]
+    cost = (1,) * len(recruits) + (0,) * len(ballots)
+    return cost, tuple(zip(*columns)), []
+
+
+def _certified_value(inst):
+    """The unbounded LP value of an exact instance, from a certificate or by a solve that adds one.
+
+    The others are relabelled 2.. by descending score, ties by label, so that
+    like scoreboards give like right-hand sides.  D is kept as ints d over
+    the scores' common denominator.
+    """
+    a, beta = inst.a, inst.beta
+    den = math.lcm(*(s.denominator for s in inst.scores))
+    lead = [s.numerator * (den // s.denominator) for s in inst.scores]
+    order = sorted(range(inst.m), key=lambda c: (-lead[c], c))
+    d = [lead[c] - lead[beta] for c in (a, *(c for c in order if c != a and c != beta))]
+    cost, rows, certificates = _canonical_lp(*inst.rule.weights)
+    for certificate in certificates:
+        value = _answer(certificate, d, den)
+        if value is not None:
+            return value
+    scale = type_scores(inst.rule)[0]
+    program = lp._KeepsBasis(cost, "min", (
+        *((row, ">=", Fraction(scale * x, den)) for row, x in zip(rows, d)), (rows[-1], "=", 0)))
+    value = _lp_value(program)
+    certificate = _certificate(program, scale, d, den, value)
+    if certificate is not None and len(certificates) < MAX_CERTIFICATES:
+        certificates.append(certificate)
+    return value
+
+
+def _answer(certificate, d, den):
+    """The value a certificate proves for the right-hand side d / den, or None where it is silent.
+
+    A basis (adj, det, y) answers y . d / (det * den) where adj . d >= 0,
+    that is where its point B^-1 d is feasible; a Farkas ray (None, 0, y)
+    answers inf where y . d > 0.
+    """
+    adj, det, y = certificate
+    yd = sum(map(mul, y, d))
+    if adj is None:
+        return math.inf if yd > 0 else None
+    for row in adj:
+        if sum(map(mul, row, d)) < 0:
+            return None
+    return Fraction(yd, det * den)
+
+
+def _certificate(program, scale, d, den, value):
+    """The certificate a _canonical_lp program's final basis gives, if it checks out; else None.
+
+    With B the basis's columns and c_B their costs (phase 1's when value is
+    inf), y = c_B adj(B), over det(B) > 0.  A basis must hold no artificial,
+    y must be dual feasible (no reduced cost c_j det - y . A_j below 0, and
+    y >= 0 on the >= rows), and its answer for d must be value.  A ray must
+    have y . A_j <= 0 on every column, y >= 0 on the >= rows and y . d > 0.
+    Only the >= rows' entries of adj and y are kept, since the last rhs is 0,
+    and y is kept times the weights' scale S, as d is not.
+    """
+    n, r = len(program.objective), len(program.rows)
+    columns = [*zip(*(coeffs for coeffs, _, _ in program.rows))]
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    column_of = dict(enumerate(columns))  # the labels of lp._KeepsBasis
+    column_of.update((n + i, tuple(-x for x in unit[i])) for i in range(r - 1))  # surpluses
+    column_of.update((n + r + i, unit[i]) for i in range(r))  # artificials, all rhs >= 0
+    basis = program.basis
+    if len(basis) != r or not all(k in column_of for k in basis):
+        return None
+    det, adj = _adjugate([column_of[k] for k in basis])
+    if det == 0:
+        return None
+    if value is math.inf:
+        cost = [int(k >= n + r) for k in basis]
+    elif any(k >= n + r for k in basis):
+        return None
+    else:
+        cost = [program.objective[k] if k < n else 0 for k in basis]
+    y = [sum(map(mul, cost, col)) for col in zip(*adj)]
+    if any(x < 0 for x in y[:-1]):
+        return None
+    if value is math.inf:
+        certificate = (None, 0, tuple(y[:-1]))
+        if any(sum(map(mul, y, col)) > 0 for col in columns):
+            return None
+    else:
+        certificate = (tuple(row[:-1] for row in adj), det, tuple(scale * x for x in y[:-1]))
+        if any(c * det < sum(map(mul, y, col)) for c, col in zip(program.objective, columns)):
+            return None
+    return certificate if _answer(certificate, d, den) == value else None
+
+
+def _adjugate(cols):
+    """(det, adj) of the square integer matrix with the given columns, det made >= 0."""
+    size = len(cols)
+    a = [[Fraction(col[i]) for col in cols] + [Fraction(int(i == k)) for k in range(size)]
+         for i in range(size)]
+    det = Fraction(1)
+    for c in range(size):
+        p = next((i for i in range(c, size) if a[i][c]), None)
+        if p is None:
+            return 0, None
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        pivot = a[c][c]
+        det *= pivot
+        a[c] = [x / pivot for x in a[c]]
+        for i in range(size):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * z for x, z in zip(a[i], a[c])]
+    det = abs(det)  # the right half is the inverse, adj / det whatever det's sign
+    return int(det), [[int(x * det) for x in row[size:]] for row in a]
 
 
 def q3(inst: ManipulationInstance):

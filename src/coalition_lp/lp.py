@@ -11,14 +11,17 @@ floats are used with a pivot tolerance of 1e-9 and the point is re-verified
 against every constraint to a relative 1e-8 before being returned.
 
 No scaling, no revised simplex, no presolve; identical inputs always take
-identical pivots.
+identical pivots.  A program built as a _KeepsBasis also receives the final
+basis, phase 2's when it is optimal and phase 1's when it is infeasible, so
+that a caller can answer other right-hand sides from it; the solve itself,
+its pivots and its outcome are the same.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 PIVOT_TOL = 1e-9
@@ -82,6 +85,20 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class _KeepsBasis(LinearProgram):
+    """A program whose solve leaves its final basis in `basis`, one column label per row.
+
+    The basis is phase 2's when the program is optimal, phase 1's when it is
+    infeasible, and empty otherwise.  With n variables and r rows, label j < n
+    is variable j, n + i the slack or surplus of row i, and n + r + i the
+    artificial of row i (+1 in the row as posed when its rhs is >= 0, else -1).
+    A row that phase 1 finds redundant is dropped, and its label with it.
+    """
+
+    basis: list = field(default_factory=list, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class LpOutcome:
     status: LpStatus
     value: object  # Fraction or float; +-inf for non-optimal statuses
@@ -134,6 +151,13 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     pivots_left = [MAX_PIVOTS]
 
+    def keep_basis():
+        if isinstance(lp, _KeepsBasis):
+            art_rows, slack_rows = (
+                {k: i for i, k in enumerate(cols) if k is not None} for cols in (art_of, slack_of))
+            lp.basis[:] = [k if k < n else n + slack_rows[k] if k < art_base
+                           else n + len(lp.rows) + art_rows[k] for k in basis]
+
     def run(allowed):
         """Bland-rule iterations on tableau[-1]; returns 'optimal' or 'unbounded'."""
         while True:
@@ -178,6 +202,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if status != "optimal":
             raise NumericalFailure("phase 1 reported unbounded")
         if -tableau[-1][-1] > (0 if exact else FEAS_TOL):
+            keep_basis()
             return _non_optimal(LpStatus.INFEASIBLE, minimize)
         # Drive leftover artificials out of the basis; drop redundant rows.
         for i in range(nrows - 1, -1, -1):
@@ -223,6 +248,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if not minimize:
         value = -value
     _verify_feasible(scaled, xs, scale, exact)
+    keep_basis()
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(point))
 
 

@@ -213,6 +213,152 @@ def test_reduced_lps_keep_the_full_pool_values():
                     _same_value(q3(inst), q_program2_from_instance(inst), rule)
 
 
+def _relabelled(profile, perm):
+    counts = {tuple(perm[c] for c in ranking): k for ranking, k in profile.items()}
+    return Profile.from_counts(profile.m, counts)
+
+
+def _certificate_corpus():
+    """Strict IC profiles at m = 3..6 under the rational bound rules, each also relabelled.
+
+    Antiplurality at m = 3 and 4 leaves some targets unreachable (q3 = inf).
+    """
+    rng = random.Random(43)
+    for m, n, profiles in ((3, 15, 6), (4, 50, 4), (5, 200, 2), (6, 300, 1)):
+        for rule in _bound_rules(m)[:-1]:
+            for i in range(profiles):
+                profile = sample_ic(n, m, (43, m, i))
+                perm = list(range(m))
+                rng.shuffle(perm)
+                for prof in (profile, _relabelled(profile, perm)):
+                    if top_two(scoreboard(prof, rule))[2]:
+                        yield prof, rule
+
+
+def test_certified_values_match_fresh_full_pool_solves(monkeypatch):
+    """q3 and q_program2 equal a fresh solve over the full pool, from whatever certificate.
+
+    Equal Fractions or both inf, for every non-winner target; the stored
+    certificates must have answered some calls (hits, Farkas rays among
+    them) and been made by others (misses).  Replayed in reverse order from
+    an emptied table that holds at most two per rule, every value is the same.
+    """
+    solves = []
+    real_solve = lp.solve
+
+    def counting(program):
+        solves.append(program)
+        return real_solve(program)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    exact._canonical_lp.cache_clear()
+    calls, values = [], []
+    hits = misses = rays = 0
+    for profile, rule in _certificate_corpus():
+        a, b, _ = top_two(scoreboard(profile, rule))
+        for beta in range(profile.m):
+            if beta == a:
+                continue
+            inst = ManipulationInstance.from_profile(profile, rule, beta)
+            pools = [(q3, inst.pref_types)]
+            if beta == b:
+                pools.append((q_program2_from_instance, inst.ba_types))
+            for bound, pool in pools:
+                del solves[:]
+                got = bound(inst)
+                if solves:
+                    misses += 1
+                else:
+                    hits += 1
+                    rays += got == math.inf
+                want = exact._lp_value(exact._coalition_lp(inst, pool))
+                assert got == want and type(got) is type(want), (rule, inst.scores, beta)
+                calls.append((bound, inst))
+                values.append(got)
+    assert min(hits, misses, rays) > 0 and hits > 4 * misses, (hits, misses, rays)
+    exact._canonical_lp.cache_clear()
+    monkeypatch.setattr(exact, "MAX_CERTIFICATES", 2)  # a full table leaves the rest to solves
+    replay = [bound(inst) for bound, inst in reversed(calls)][::-1]
+    assert [(v, type(v)) for v in replay] == [(v, type(v)) for v in values]
+    assert {len(exact._canonical_lp(*inst.rule.weights)[2]) for _, inst in calls} == {1, 2}
+
+
+def test_certificate_guard_refuses_corrupted_bases(monkeypatch):
+    """A final basis or ray that does not check out exactly is not stored; q3 is the solve's value.
+
+    Each corruption replaces the basis a solve hands out, mostly after an
+    honest solve of another target has stored one certificate.  The Borda program
+    at m = 4 has 12 columns and 4 rows: labels 12-14 are the surpluses, 15
+    would be the equality row's (it has none), 16-19 the artificials.  Its
+    targets 0, 1 and 2 end on three different bases, each infeasible at the
+    others' right-hand sides.  Some corruptions pass every check but one:
+    [2, 3, 6, 9] is feasible with the optimal value but has a negative
+    reduced cost, [0, 2, 9, 18] holds an artificial, Borda's [0, 3, 4] at
+    m = 3 has a surplus with y < 0, and the ray of antiplurality's [0, 4, 8]
+    has y . A_j > 0 on a column.
+    """
+    real_solve = lp.solve
+    corrupt = None
+
+    def corrupting(program):
+        out = real_solve(program)
+        program.basis[:] = corrupt(list(program.basis))
+        return out
+
+    monkeypatch.setattr(lp, "solve", corrupting)
+    cases = (  # rule, profile, the honest target, the corrupted target, its value, corruptions
+        (borda(4), sample_ic(50, 4, (9, 50, 0)), 0, 2, Fraction(4), (
+            lambda b: b[:-1], lambda b: [b[0], *b[:-1]], lambda b: [*b[:-1], 15],
+            lambda b: [16, *b[1:]], lambda b: [12, 13, 14, b[-1]],
+            lambda b: [0, 2, 14, 9], lambda b: [0, 13, 14, 9],
+            lambda b: [2, 3, 6, 9], lambda b: [0, 2, 9, 18])),
+        (borda(3), sample_ic(12, 3, (9, 12, 0)), None, 1, Fraction(1), (lambda b: [0, 3, 4],)),
+        (antiplurality(3), sample_ic(20, 3, (23, 1)), 1, 0, math.inf, (
+            lambda b: [4, 5, 2], lambda b: [0, 5, 3], lambda b: [7, 9, 2], lambda b: [7, 7, 2],
+            lambda b: [0, 4, 8])),
+    )
+    for rule, profile, honest, beta, value, corruptions in cases:
+        for corruption in (*corruptions, None):
+            exact._canonical_lp.cache_clear()
+            corrupt = list
+            if honest is not None:  # its certificate does not answer beta
+                q3(ManipulationInstance.from_profile(profile, rule, honest))
+            table = exact._canonical_lp(*rule.weights)[2]
+            stored = [*table]
+            corrupt = corruption or list
+            got = q3(ManipulationInstance.from_profile(profile, rule, beta))
+            assert got == value and type(got) is type(value)
+            assert table[:len(stored)] == stored and len(table) == len(stored) + (not corruption)
+            assert len(stored) == (honest is not None)
+
+
+# q3 and q_program2 reprs recorded before they were answered from certificates: exact
+# weights with float or mixed int/float scores keep the (a, beta) columns' float solve.
+FLOAT_SCORE_PINS = {
+    ("borda", (10.0, 8.5, 7.0, 4.5)):
+        ("2.249999999999999", "2.249999999999999", "4.499999999999999", "8.249999999999998"),
+    ("borda", (10, 8.5, 7, 4.5)):
+        ("2.249999999999999", "2.249999999999999", "4.499999999999999", "8.249999999999998"),
+    ("weights:1,1,1/2,0", (12.25, 11, 9.5, 3)): ("1.25", "1.25", "3.5", "15.187500000000004"),
+    ("weights:1,1,1/2,0", (12, 11.75, 9, 3)): ("0.25", "0.25", "4.375", "14.937500000000002"),
+    ("plurality", (30.0, 21, 20.5, 15, 13.5)): ("9.0", "9.0", "9.5", "15.0", "16.5"),
+    ("antiplurality", (20, 18.5, 17, 9.5)): ("1.5", "1.5", "4.5", "inf"),
+    ("approval:2", (40, 39.25, 30, 22.5, 18.25)): ("0.75", "0.75", "10.0", "17.5", "21.75"),
+}
+
+
+def test_float_scores_keep_their_float_solve(monkeypatch):
+    """The runner-up's q3 and q_program2, then q3 of targets 2.. (the winner is 0)."""
+    monkeypatch.setattr(exact, "_certified_value", None)  # never reached
+    for (text, scores), want in FLOAT_SCORE_PINS.items():
+        rule = parse_rule(text, len(scores))
+        runner_up = ManipulationInstance.from_scores(rule, scores)
+        got = [q3(runner_up), q_program2_from_instance(runner_up)]
+        got += [q3(ManipulationInstance.from_scores(rule, scores, beta))
+                for beta in range(2, len(scores))]
+        assert tuple(map(repr, got)) == want, (text, scores)
+
+
 LP_COLUMN_COUNTS = {  # (recruits, ballots) of every (a, beta); the full pools hold m!/2 and (m-1)!
     3: {"plurality": (2, 1), "borda": (2, 2), "approval:2": (2, 2), "antiplurality": (2, 2)},
     4: {"plurality": (3, 1), "borda": (6, 6), "approval:2": (4, 3), "antiplurality": (3, 3)},
@@ -526,19 +672,28 @@ def test_budget_error_gives_the_seconds_spent(monkeypatch):
 
 
 def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
-    """Fraction(1, 2) == 0.5 and both hash alike, so the rule tables are keyed by weight types."""
+    """Fraction(1, 2) == 0.5 and both hash alike, so the rule tables are keyed by weight types.
+
+    A float rule never reads the certificates a rational q3 stored, and stores none.
+    """
     rational, floating = parse_rule("weights:1,1/2,0"), normalize((1.0, 0.5, 0.0))
     assert rational == floating and hash(rational) == hash(floating)
-    solved = []
-    real_solve = lp.solve
+    solved, answered = [], []
+    real_solve, real_answer = lp.solve, exact._answer
 
     def recording(program):
         solved.append(program.is_rational)
         return real_solve(program)
 
+    def reading(certificate, d, den):
+        answered.append(certificate)
+        return real_answer(certificate, d, den)
+
     monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setattr(exact, "_answer", reading)
     for order in ((rational, floating), (floating, rational)):
-        for cached in (exact._lp_tables, election._type_scores, integer_weights):
+        for cached in (exact._lp_tables, exact._canonical_lp, election._type_scores,
+                       integer_weights):
             cached.cache_clear()
         for rule in order:
             kind = Fraction if rule is rational else float
@@ -551,8 +706,13 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
             assert program.is_rational is (rule is rational)
             assert {type(c) for coeffs, rel, _ in program.rows if rel == ">=" for c in coeffs} \
                 == {kind}
-            del solved[:]
+            del solved[:], answered[:]
             assert type(q3(inst)) is kind and solved == [rule is rational]
+            tables = exact._canonical_lp.cache_info().currsize
+            if rule is rational:
+                assert tables == 1 and len(exact._canonical_lp(*rule.weights)[2]) == 1
+            else:  # no certificate read and no table of its own
+                assert answered == [] and tables == (order[0] is rational)
             if rule is rational:
                 assert exact._integer_tables(inst)[0] == 2
             else:
