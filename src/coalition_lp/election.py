@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class ScoreVector:
     def m(self) -> int:
         return len(self.weights)
 
-    @property
+    @functools.cached_property  # kept in the instance's __dict__, which eq, hash and replace() skip
     def is_rational(self) -> bool:
         return all(_is_exact(w) for w in self.weights)
 
@@ -347,19 +348,43 @@ def _type_scores(*weights):
     return scale, {t: tuple(w[p] for p in places) for t, places in _type_maps(len(w))[1].items()}
 
 
+@functools.lru_cache(maxsize=16)
+def _packed_rows(nbits, *weights):
+    """(scale, lo, width, rows) of rational weights: rows[t] packs type t's int scores.
+
+    Candidate c's score minus lo sits at bit width*c.  A field sums fewer
+    than 2**nbits ballots of at most max - lo each, so it stays below
+    2**width and never carries into the next candidate's.
+    """
+    scale, w = integer_weights(*weights)
+    lo = min(w)
+    width = nbits + (max(w) - lo).bit_length()
+    rows = tuple(sum((w[p] - lo) << width * c for c, p in enumerate(places))
+                 for places in _type_maps(len(w))[1].values())
+    return scale, lo, width, rows
+
+
 def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
-    """Candidate totals; a rational rule's are summed in ints over the weights' common denominator."""
+    """Candidate totals, summed over the types with a positive count.
+
+    A rational rule's are one int sum of packed rows (_packed_rows), split
+    into its candidates' fields; a float rule's are added in type order.
+    """
     if rule.m != profile.m:
         raise ValueError("rule and profile must share m")
-    scale, rows = type_scores(rule)
-    scores = [0 if rule.is_rational else 0.0] * profile.m
-    for row, c in zip(rows.values(), profile.counts):
-        if c:
-            for cand, s in enumerate(row):
-                scores[cand] += c * s
+    m, n, counts = profile.m, profile.n, profile.counts
     if rule.is_rational:
-        scores = [Fraction(s, scale) for s in scores]
-    return Scoreboard(tuple(scores), profile.n)
+        scale, lo, width, rows = _packed_rows(max(64, n.bit_length()), *rule.weights)
+        total = sum(map(mul, itertools.compress(rows, counts), itertools.compress(counts, counts)))
+        mask = (1 << width) - 1
+        scores = (((total >> width * c) & mask) + lo * n for c in range(m))
+        return Scoreboard(tuple(Fraction(s, scale) for s in scores), n)
+    scores = [0.0] * m
+    for row, c in zip(itertools.compress(type_scores(rule)[1].values(), counts),
+                      itertools.compress(counts, counts)):
+        for cand, s in enumerate(row):
+            scores[cand] += c * s
+    return Scoreboard(tuple(scores), n)
 
 
 def top_two(board: Scoreboard):

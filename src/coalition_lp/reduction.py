@@ -16,10 +16,13 @@ value as a primal LP over per-stratum recruitment totals z, and
 witness_from_z turns any feasible z into an explicit fractional coalition
 plan for the stratified program.
 
-For a rational rule the exact geometry and the witness's per-type amounts
-are computed on Python ints: M_w's rows scaled by the weights' common
-denominator, and the amounts as numerators over one common denominator.
-Fractions are built only for the vertices and plan entries returned.
+For a rational rule the exact geometry and the witness are computed on
+Python ints: M_w's rows scaled by the weights' common denominator, and every
+scalar of the witness (z, the scores, A, B, r, u, v and the per-type
+amounts) as a numerator over a known denominator.  Fractions are built only
+for the vertices and plan entries returned.  M_w and its cone-optimal
+vertices depend on the rule alone and are built once per rule, keyed by the
+weights with their types.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from . import lp
 from .election import (
@@ -96,6 +100,10 @@ class Polytope2D:
     rays: tuple
     rows: tuple
 
+    @cached_property  # kept in the instance's __dict__, so a cached polytope computes it once
+    def cone_optimal(self) -> tuple:
+        return _cone_optimal_vertices(self)
+
     def to_json(self, rule_label: str, exact: bool = False, extra: dict | None = None) -> str:
         def coord(v):
             return str(Fraction(v)) if exact else float(v)
@@ -152,8 +160,15 @@ def mw_polytope(rule: ScoreVector) -> Polytope2D:
 
     Rational rows (W[i], S - W[i-1], S) meet by Cramer's rule in ints; a
     float rule's points are divided out first and tested within TIE_TOL.
+    The region depends on the rule alone and is built once per rule: every
+    call with the same weights returns the same object.
     """
-    w = rule.weights
+    return _mw_polytope(*rule.weights)
+
+
+@lru_cache(maxsize=16, typed=True)  # Fraction(1, 2) == 0.5, and both hash alike
+def _mw_polytope(*w):
+    rule = ScoreVector(w)
     m = rule.m
     exact = rule.is_rational
     one = Fraction(1) if exact else 1.0
@@ -222,8 +237,13 @@ def cone_optimal_vertices(poly: Polytope2D) -> tuple:
     Margin directions from real scoreboards sweep the cone between (1, -1)
     and (1, 1/(m-1)) (up to positive scaling).  A vertex counts when its
     argmax set of directions has positive length, with directions of
-    unbounded objective (past a recession ray) excluded.
+    unbounded objective (past a recession ray) excluded.  Computed once per
+    polytope object (Polytope2D.cone_optimal).
     """
+    return poly.cone_optimal
+
+
+def _cone_optimal_vertices(poly):
     m = poly.m
     slope = Fraction(m, m - 1)  # dB/dtheta along d(theta) = (1, -1 + theta*m/(m-1))
     points = [(Fraction(x), Fraction(y)) for x, y in poly.vertices]
@@ -346,68 +366,23 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
     plan is feasible for the stratified program with per-stratum sums equal
     to z.  Raises ZInfeasible when z fails the rows and ConstructionFailed
     if the assembled plan does not re-verify.
+
+    A recruit of stratum i buries a at the bottom with share r*u[c], keeps a
+    where it was with share (1-r)*v[c], or (i = 1) votes sincerely with
+    share 1-r; see _exact_shares and _float_shares for r, u and v.
     """
     if inst.beta != inst.b:
         raise ValueError("the witness construction targets the runner-up")
     m = inst.m
-    w = inst.rule.weights
-    exact = inst.rule.is_rational and all(_is_exact(s) for s in inst.scores) and all(
-        _is_exact(zi) for zi in z
-    )
-    conv = Fraction if exact else float
-    tol = 0 if exact else 1e-9
-    z = [conv(zi) for zi in z]
     if len(z) != m - 1:
         raise ValueError(f"z needs m-1 = {m - 1} entries, got {len(z)}")
-    if any(zi < -tol for zi in z):
-        raise ZInfeasible("negative recruitment total")
-    z = [max(zi, conv(0)) for zi in z]
-
-    a_s = conv(inst.scores[inst.a])
-    b_s = conv(inst.scores[inst.b])
-    mean = conv(inst.mean_score)
-    if exact:
-        # z as ints zs over dz, the weights as ints over scale
-        scale, ints = integer_weights(*inst.rule.weights)
-        dz = math.lcm(*(zi.denominator for zi in z))
-        zs = [zi.numerator * (dz // zi.denominator) for zi in z]
-        A = Fraction(sum(zj * wj for zj, wj in zip(zs, ints[1:])), dz * scale)
-        B = Fraction(sum(zj * (scale - wj) for zj, wj in zip(zs, ints)), dz * scale)
-    else:
-        zs = z
-        A = sum(z[j] * conv(w[j + 1]) for j in range(m - 1))
-        B = sum(z[j] * (1 - conv(w[j])) for j in range(m - 1))
-    if A + B < a_s - b_s - tol * 10:
-        raise ZInfeasible("z misses the catch-up row")
-    if B < mean - b_s - tol * 10:
-        raise ZInfeasible("z misses the lift row")
-
+    exact = inst.rule.is_rational and all(map(_is_exact, inst.scores)) and all(map(_is_exact, z))
     others = [c for c in range(m) if c not in (inst.a, inst.b)]
-
-    # r in [0,1] with |a|-|b|-B <= r*A <= (m-1)(|b|+B-mean) + (|a|-mean).
-    upper = (m - 1) * (b_s + B - mean) + (a_s - mean)
-    if A > 0:
-        target = max(conv(0), a_s - b_s - B)
-        target = min(target, A, upper)
-        r = target / A
-        r = min(max(r, conv(0)), conv(1))
+    if exact:
+        zs, sincere, ru, rv, v, den = _exact_shares(inst, z, others)
     else:
-        r = conv(0)
-
-    if m == 3:
-        u = {others[0]: conv(1)}
-        v = {others[0]: conv(1)}
-    else:
-        denom = r * A + B / (m - 3)
-        share = Fraction(m - 2, m - 3) * B
-        caps_rhs = {al: b_s - conv(inst.scores[al]) + share for al in others}
-        if denom <= tol:
-            u = {al: conv(1) / (m - 2) for al in others}
-        else:
-            caps = {al: caps_rhs[al] / denom for al in others}
-            total = sum(caps.values())
-            u = {al: caps[al] / total for al in others}
-        v = {al: (1 - u[al]) / (m - 3) for al in others}
+        z, sincere, ru, rv, v = _float_shares(inst, z, others)
+        zs = z
 
     fact_small = math.factorial(max(m - 3, 0))
     fact_mid = math.factorial(m - 2)
@@ -418,24 +393,19 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
         if amount:
             table[t] = table.get(t, 0) + amount
 
-    # per-type amounts, each product formed once per (candidate, stratum), left to right
-    ru = {c: r * u[c] for c in others}
-    rv = {c: (1 - r) * v[c] for c in others}
-    if exact:
-        # Every amount q * z[j] / fact, with q one of the O(m) scalars below, is an
-        # int over den: q * lq and z[j] * dz are ints and fact divides fact_mid.
-        lq = math.lcm(*(q.denominator for q in (1 - r, *ru.values(), *rv.values(), *v.values())))
-        den = lq * dz * fact_mid
-
     def per(q, zi, fact):
-        if exact:
-            return q.numerator * (lq // q.denominator) * zi * (fact_mid // fact)
+        if exact:  # an int over den * fact_mid, since fact divides fact_mid
+            return q * zi * (fact_mid // fact)
         return q * zi / fact
 
+    # per-type amounts, each product formed once per (candidate, stratum), left to right
     bury = {(c, i): per(ru[c], zs[i - 1], fact_small) for c in others for i in range(1, m - 1)}
     keep = {(c, i): per(rv[c], zs[i - 1], fact_small) for c in others for i in range(2, m - 1)}
-    # recruits who bury a at the bottom, keyed by their own last-place candidate
+    # recruits who bury a at the bottom, keyed by their own last-place candidate; an
+    # empty stratum (q_stratified's z has at most two non-empty ones) adds nothing
     for i in range(1, m - 1):
+        if not zs[i - 1]:
+            continue
         for t in inst.strata[i - 1]:
             add(x, t, bury[t[m - 1], i])
     for t in inst.first_types:
@@ -443,13 +413,15 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
             add(y, t, sum(bury[t[i], i] for i in range(1, m - 1)))
     # recruits who keep a where it was, keyed by their first-place candidate
     for i in range(2, m - 1):
+        if not zs[i - 1]:
+            continue
         for t in inst.strata[i - 1]:
             add(x, t, keep[t[0], i])
         for t in inst.first_types:
             if t[i] == inst.a:
                 add(y, t, keep[t[i - 1], i])
     # top-stratum recruits who vote sincerely
-    amount = per(1 - r, zs[0], fact_mid)
+    amount = per(sincere, zs[0], fact_mid)
     for t in inst.strata[0]:
         add(x, t, amount)
         add(y, t, amount)
@@ -462,7 +434,8 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
             add(y, t, low[t[m - 2]])
 
     def entries(table):
-        return {t: Fraction(amt, den) if exact else amt for t, amt in table.items() if amt != 0}
+        return {t: Fraction(amt, den * fact_mid) if exact else amt
+                for t, amt in table.items() if amt != 0}
 
     plan = CoalitionPlan(x=entries(x), y=entries(y))
     check_tol = 0 if exact else 1e-7
@@ -470,3 +443,99 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
     if issues:
         raise ConstructionFailed("; ".join(issues))
     return plan
+
+
+def _exact_shares(inst, z, others):
+    """(zs, 1-r, r*u, (1-r)*v, v, den) of exact inputs, every one an int.
+
+    zs are z's numerators over dz.  The scores, their mean, A, B, the
+    target r*A and caps_rhs are numerators over G = m * sden * dz * S, with
+    sden the scores' common denominator and S the weights'; r is rn / rd, u
+    is un / ud and v is vn / (ud * k).  The four shares are numerators over
+    rd * ud * k, and den is that times dz: an amount q * zs[j] is over den.
+    """
+    m = inst.m
+    dz = math.lcm(*(zi.denominator for zi in z))
+    zs = [zi.numerator * (dz // zi.denominator) for zi in z]
+    if any(zi < 0 for zi in zs):
+        raise ZInfeasible("negative recruitment total")
+    scale, ints = integer_weights(*inst.rule.weights)
+    sden = math.lcm(*(s.denominator for s in inst.scores))
+    lead = [s.numerator * (sden // s.denominator) for s in inst.scores]
+    unit = m * dz * scale  # a numerator over sden, times unit, is over G
+    a_s, b_s = lead[inst.a] * unit, lead[inst.b] * unit
+    mean = sum(lead) * dz * scale
+    A = sum(zj * wj for zj, wj in zip(zs, ints[1:])) * m * sden
+    B = sum(zj * (scale - wj) for zj, wj in zip(zs, ints)) * m * sden
+    if A + B < a_s - b_s:
+        raise ZInfeasible("z misses the catch-up row")
+    if B < mean - b_s:
+        raise ZInfeasible("z misses the lift row")
+
+    # r in [0,1] with |a|-|b|-B <= r*A <= (m-1)(|b|+B-mean) + (|a|-mean), so r*A is rn / G.
+    # Exact rows leave both upper bounds slack: the catch-up row keeps |a|-|b|-B <= A, and
+    # the second bound exceeds |a|-|b|-B by m*(B - (mean-|b|)) >= 0 on the lift row.
+    rn, rd = (max(a_s - b_s - B, 0), A) if A > 0 else (0, 1)
+
+    if m == 3:
+        k, ud, un, vn = 1, 1, {others[0]: 1}, {others[0]: 1}  # u = v = 1
+    else:
+        # u = caps / sum(caps), caps = caps_rhs / (r*A + B/k): the positive denominator cancels
+        k = m - 3
+        if rn * k + B <= 0:  # (r*A + B/k) * G * k
+            un, ud = dict.fromkeys(others, 1), m - 2
+        else:
+            # caps_rhs * G * k
+            un = {al: (b_s - lead[al] * unit) * k + (m - 2) * B for al in others}
+            ud = sum(un.values())
+        vn = {al: ud - un[al] for al in others}  # v = (1 - u) / k
+    ru = {c: rn * un[c] * k for c in others}
+    rv = {c: (rd - rn) * vn[c] for c in others}
+    v = {c: rd * vn[c] for c in others}
+    return zs, (rd - rn) * ud * k, ru, rv, v, rd * ud * k * dz
+
+
+def _float_shares(inst, z, others):
+    """(z, 1-r, r*u, (1-r)*v, v) in floats, with z clamped at 0 and the rows tested within 1e-9."""
+    m = inst.m
+    w = inst.rule.weights
+    tol = 1e-9
+    z = [float(zi) for zi in z]
+    if any(zi < -tol for zi in z):
+        raise ZInfeasible("negative recruitment total")
+    z = [max(zi, 0.0) for zi in z]
+    a_s = float(inst.scores[inst.a])
+    b_s = float(inst.scores[inst.b])
+    mean = float(inst.mean_score)
+    A = sum(z[j] * float(w[j + 1]) for j in range(m - 1))
+    B = sum(z[j] * (1 - float(w[j])) for j in range(m - 1))
+    if A + B < a_s - b_s - tol * 10:
+        raise ZInfeasible("z misses the catch-up row")
+    if B < mean - b_s - tol * 10:
+        raise ZInfeasible("z misses the lift row")
+
+    # r in [0,1] with |a|-|b|-B <= r*A <= (m-1)(|b|+B-mean) + (|a|-mean).
+    upper = (m - 1) * (b_s + B - mean) + (a_s - mean)
+    if A > 0:
+        target = max(0.0, a_s - b_s - B)
+        target = min(target, A, upper)
+        r = target / A
+        r = min(max(r, 0.0), 1.0)
+    else:
+        r = 0.0
+
+    if m == 3:
+        u = {others[0]: 1.0}
+        v = {others[0]: 1.0}
+    else:
+        denom = r * A + B / (m - 3)
+        share = Fraction(m - 2, m - 3) * B
+        caps_rhs = {al: b_s - float(inst.scores[al]) + share for al in others}
+        if denom <= tol:
+            u = {al: 1.0 / (m - 2) for al in others}
+        else:
+            caps = {al: caps_rhs[al] / denom for al in others}
+            total = sum(caps.values())
+            u = {al: caps[al] / total for al in others}
+        v = {al: (1 - u[al]) / (m - 3) for al in others}
+    return z, 1 - r, {c: r * u[c] for c in others}, {c: (1 - r) * v[c] for c in others}, v

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -182,10 +183,15 @@ def rational_weights(draw, m):
     return ScoreVector(tuple(sorted(draw(st.lists(weight, min_size=m, max_size=m)), reverse=True)))
 
 
-@given(st.integers(3, 5).flatmap(lambda m: st.tuples(profiles(m), rational_weights(m))))
-@settings(max_examples=60, deadline=None)
-def test_rational_scoreboard_is_the_fraction_sum(case):
-    prof, rule = case
+@st.composite
+def sparse_profiles(draw, m):
+    """A dozen voter types or fewer, with counts up to 10**6."""
+    votes = draw(st.dictionaries(st.permutations(range(m)).map(tuple), st.integers(1, 10**6),
+                                 min_size=1, max_size=12))
+    return Profile.from_counts(m, votes)
+
+
+def _assert_fraction_sum(prof, rule):
     naive = [Fraction(0)] * prof.m
     for ranking, c in prof.items():
         for pos, cand in enumerate(ranking):
@@ -193,6 +199,43 @@ def test_rational_scoreboard_is_the_fraction_sum(case):
     board = scoreboard(prof, rule)
     assert board.scores == tuple(naive)
     assert all(type(s) is Fraction for s in board.scores)
+
+
+@given(st.integers(3, 6).flatmap(lambda m: st.tuples(profiles(m), rational_weights(m))))
+@settings(max_examples=60, deadline=None)
+def test_rational_scoreboard_is_the_fraction_sum(case):
+    _assert_fraction_sum(*case)
+
+
+@given(st.integers(7, 8).flatmap(lambda m: st.tuples(sparse_profiles(m), rational_weights(m))))
+@settings(max_examples=6, deadline=None)
+def test_sparse_rational_scoreboard_is_the_fraction_sum(case):
+    _assert_fraction_sum(*case)
+
+
+def test_rational_scoreboard_fields_never_carry():
+    """Negative weights and counts past 2**64, where each candidate's packed field widens."""
+    rule = ScoreVector((3, Fraction(1, 2), 0, -2))
+    for count in (1, 2**64 - 1, 2**64, 3**90):
+        prof = Profile.from_counts(4, {(0, 1, 2, 3): count, (3, 2, 1, 0): count + 1, (1, 3, 0, 2): 7})
+        _assert_fraction_sum(prof, rule)
+
+
+def test_is_rational_is_cached_per_vector():
+    exact, inexact = ScoreVector((1, Fraction(1, 2), 0)), ScoreVector((1, 0.5, 0))
+    assert exact.is_rational and not inexact.is_rational
+    assert vars(exact) == {"weights": exact.weights, "is_rational": True}
+    # the cached value is no field: equality, hashing, repr and replace() see the weights alone
+    assert [f.name for f in dataclasses.fields(ScoreVector)] == ["weights"]
+    assert exact == inexact and hash(exact) == hash(inexact)
+    assert repr(exact) == "ScoreVector(weights=(1, Fraction(1, 2), 0))"
+    assert dataclasses.asdict(exact) == {"weights": (1, Fraction(1, 2), 0)}
+    assert dataclasses.replace(exact) == exact
+    assert not dataclasses.replace(exact, weights=inexact.weights).is_rational
+    assert dataclasses.replace(inexact, weights=exact.weights).is_rational
+    assert exact.is_rational and not inexact.is_rational
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        exact.weights = inexact.weights
 
 
 def _pinned_rules(m):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalition_lp.election import (
-    Profile, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
+    Profile, ScoreVector, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
     sample_ic, scoreboard, three_candidate, top_two,
 )
 from coalition_lp.exact import (
@@ -16,8 +16,8 @@ from coalition_lp.exact import (
 )
 from coalition_lp.reduction import (
     ConstructionFailed, MarginPair, ParamOutOfRange, Polytope2D, UnknownFamily,
-    ZInfeasible, closed_form_q, cone_optimal_vertices, mw_polytope,
-    optimal_vertex_set, q_dual, q_stratified, sigma_scaled, witness_from_z,
+    ZInfeasible, _cone_optimal_vertices, _mw_polytope, closed_form_q, cone_optimal_vertices,
+    mw_polytope, optimal_vertex_set, q_dual, q_stratified, sigma_scaled, witness_from_z,
 )
 from oracles import polytope_vertices
 from test_election import _pinned_rules
@@ -290,6 +290,35 @@ def test_polytope_geometry_is_pinned():
     assert (len(rules), digest.hexdigest()) == PINNED_POLYTOPES
 
 
+def test_cached_polytopes_match_fresh_builds():
+    """Per rule, one polytope object and one cone-optimal tuple, equal to an uncached build."""
+    for m in range(3, 9):
+        for rule in _pinned_rules(m):
+            poly = mw_polytope(rule)
+            fresh = _mw_polytope.__wrapped__(*rule.weights)
+            assert repr(poly) == repr(fresh)
+            assert repr(cone_optimal_vertices(poly)) == repr(_cone_optimal_vertices(fresh))
+            again = mw_polytope(ScoreVector(tuple(rule.weights)))  # an equal rule, another object
+            assert again is poly
+            assert cone_optimal_vertices(again) is cone_optimal_vertices(poly)
+
+
+@pytest.mark.parametrize("first", ["float", "fraction"])
+def test_polytope_cache_keeps_float_and_rational_rules_apart(first):
+    """(1, 0.5, 0) == (1, 1/2, 0) and both hash alike, yet each keeps its own arithmetic."""
+    _mw_polytope.cache_clear()
+    rules = {"float": ScoreVector((1, 0.5, 0)), "fraction": ScoreVector((1, Fraction(1, 2), 0))}
+    assert rules["float"] == rules["fraction"] and hash(rules["float"]) == hash(rules["fraction"])
+    polys = {key: mw_polytope(rules[key]) for key in sorted(rules, key=lambda key: key != first)}
+    kinds = {key: {type(c) for point in (*poly.vertices, *poly.rows) for c in point}
+             for key, poly in polys.items()}
+    assert kinds == {"float": {float}, "fraction": {Fraction}}
+    for key, poly in polys.items():
+        assert mw_polytope(rules[key]) is poly
+        dots = cone_optimal_vertices(poly)
+        assert {type(c) for point in dots for c in point} == kinds[key]
+
+
 @given(m=st.integers(3, 8), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_polytope_matches_oracle(m, data):
@@ -357,6 +386,27 @@ def test_witness_branches_are_pinned(label):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_BRANCH_WITNESSES[label]
 
 
+def test_every_witness_is_re_verified(monkeypatch):
+    """A plan the re-check refuses is never returned, on the exact and the float path."""
+    import coalition_lp.reduction as reduction
+
+    cases = [_witness_branch_case(label) for label in PINNED_BRANCH_WITNESSES]
+    rule, board = normalize((1.0, 0.6, 0.0)), (110.4, 97.0, 92.6)
+    margins = MarginPair.from_scoreboard(scoreboard_like(board))
+    cases.append((ManipulationInstance.from_scores(rule, board), q_stratified(margins, rule)[1]))
+    refused = []
+
+    def refuse(inst, plan, z=None, tol=0.0):
+        refused.append(plan)
+        return ["refused"]
+
+    monkeypatch.setattr(reduction, "verify_stratified_plan", refuse)
+    for inst, z in cases:
+        with pytest.raises(ConstructionFailed, match="refused"):
+            witness_from_z(inst, z)
+    assert len(refused) == len(cases)
+
+
 def test_witness_float_rule():
     rule = normalize((1.0, 0.6, 0.0))
     board = (110.4, 97.0, 92.6)
@@ -378,6 +428,17 @@ def test_witness_rejects_infeasible_z():
     inst = ManipulationInstance.from_profile(PROFILE_A, borda(3))
     with pytest.raises(ZInfeasible):
         witness_from_z(inst, (0, 0))
+
+
+def test_witness_rows_are_checked_exactly():
+    """z on a row passes; z short of the lift row by 1/6, the least a z can miss it here, fails."""
+    inst = ManipulationInstance.from_scores(borda(3), (10, 7, 6))  # A + B >= 3 and B >= 2/3
+    for z in ((4, 2), (5, Fraction(4, 3))):
+        assert verify_stratified_plan(inst, witness_from_z(inst, z), z) == []
+    with pytest.raises(ZInfeasible, match="lift"):
+        witness_from_z(inst, (5, 1))
+    with pytest.raises(ZInfeasible, match="negative"):
+        witness_from_z(inst, (9, Fraction(-1, 7)))
 
 
 def test_witness_needs_runner_up_target():
