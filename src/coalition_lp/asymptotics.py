@@ -43,15 +43,12 @@ class LimitModel:
     """Everything needed to sample the limiting coalition-size variable."""
 
     m: int
-    mean: float
     sigma: float
-    scale: float
     polytope: Polytope2D
     scaled_vertices: np.ndarray  # (V, 2) float, already multiplied by scale
     has_ray: bool
     dots: tuple  # vertices optimal on a positive measure of margins
     dot_rows: tuple  # the rows of scaled_vertices that hold the dots
-    diag: tuple  # the diagonal vertex (b_w, b_w) of M_w
     diag_coeff_sq: object  # exact Fraction for rational rules
     c_w: float | None  # set when V_w = c_w * (rho1 - rho2)
 
@@ -76,15 +73,12 @@ def limit_model(rule: ScoreVector) -> LimitModel:
     verts = np.array([[float(x), float(y)] for x, y in poly.vertices]) * scale
     return LimitModel(
         m=m,
-        mean=float(rule.mean),
         sigma=rule.sigma,
-        scale=scale,
         polytope=poly,
         scaled_vertices=verts,
         has_ray=bool(poly.rays),
         dots=dots,
         dot_rows=tuple(poly.vertices.index(v) for v in dots),
-        diag=diag,
         diag_coeff_sq=diag_sq,
         c_w=math.sqrt(float(diag_sq)) if is_c_form else None,
     )

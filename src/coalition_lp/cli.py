@@ -71,9 +71,7 @@ def cmd_polytope(args) -> int:
     sigma = rule.sigma
     extra = {
         "sigma_w": sigma,
-        "sigma_scaled_vertices": [
-            [float(x) * sigma, float(y) * sigma] for x, y in poly.vertices
-        ],
+        "sigma_scaled_vertices": reduction.sigma_scaled(poly, rule),
         "optimal_dots": [
             [str(Fraction(x)) if args.exact else float(x),
              str(Fraction(y)) if args.exact else float(y)]

@@ -30,10 +30,10 @@ moves.  An optimal basis B stays optimal wherever B^-1 D >= 0, since a
 change of right-hand side keeps it dual feasible (Bertsimas & Tsitsiklis,
 Introduction to Linear Optimization, 1997, section 5.1), and a Farkas ray y
 proves every D with y . D > 0 unreachable.  A right-hand side that none of
-the rule's stored certificates (at most MAX_CERTIFICATES) answers is solved;
-the solve hands out its final basis (lp._KeepsBasis), and the certificate it
-gives is checked once, exactly, before it is stored.  An LP's optimal value
-is unique, so no value depends on what is stored or on the order of calls.
+the rule's stored certificates (at most MAX_CERTIFICATES) answers is solved,
+and the certificate its final basis (LpOutcome.basis) gives is checked once,
+exactly, before it is stored.  An LP's optimal value is unique, so no value
+depends on what is stored or on the order of calls.
 Float rules, exact weights with float scores, and q2 solve as before.
 
 The search tries coalition sizes k upward from ceil(q3).  At each k it walks
@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate
 from operator import mul
 from time import perf_counter
 
@@ -328,36 +328,35 @@ def _coalition_lp(inst, xs, ys=None, upper_slack=None) -> lp.LinearProgram:
     return lp.LinearProgram(tuple([1] * nx + [0] * ny), "min", tuple(rows))
 
 
-@lru_cache(maxsize=16)
-def _lp_columns(rule):
-    """{(a, beta): (recruits, ballots)}: the columns of a rational rule's unbounded LP that matter.
+@lru_cache(maxsize=64)
+def _lp_columns(rule, a, beta):
+    """(recruits, ballots): the columns of a rational rule's unbounded LP for (a, beta) that matter.
 
-    The recruits of (a, beta) are the types that put a directly below beta
-    (ba_types when beta is the runner-up), its ballots the types that rank
-    beta first.  Of types with identical columns, w[p(alpha)] - w[p(beta)]
+    The recruits are the types that put a directly below beta, stratum by
+    stratum (ba_types when beta is the runner-up), the ballots the types that
+    rank beta first.  Of types with identical columns, w[p(alpha)] - w[p(beta)]
     over alpha != beta for a recruit and w[p(alpha)] for a ballot, only the
     first is kept.
     """
     rows = type_scores(rule)[1]
-    recruits = {pair: {} for pair in permutations(range(rule.m), 2)}
-    for i in range(rule.m - 1):  # stratum by stratum, as ba_types
-        for t, row in rows.items():
-            recruits[t[i + 1], t[i]].setdefault(tuple(s - row[t[i]] for s in row), t)
-    ballots = [{} for _ in range(rule.m)]
-    for t, row in rows.items():
-        ballots[t[0]].setdefault(row, t)
-    ballots = [tuple(kept.values()) for kept in ballots]
-    return {(a, beta): (tuple(kept.values()), ballots[beta])
-            for (a, beta), kept in recruits.items()}
+    _, first, _, below = _type_sets(rule.m, a, beta, beta)
+    recruits, ballots = {}, {}
+    for t in below:
+        recruits.setdefault(tuple(s - rows[t][beta] for s in rows[t]), t)
+    for t in first:
+        ballots.setdefault(rows[t], t)
+    return tuple(recruits.values()), tuple(ballots.values())
 
 
 def _lp_value(program: lp.LinearProgram):
+    return _solved(program).value  # inf when infeasible
+
+
+def _solved(program: lp.LinearProgram) -> lp.LpOutcome:
     out = lp.solve(program)
-    if out.status is lp.LpStatus.INFEASIBLE:
-        return math.inf
     if out.status is lp.LpStatus.UNBOUNDED:
         raise lp.NumericalFailure("a minimization with non-negative objective cannot be unbounded")
-    return out.value
+    return out
 
 
 def _unbounded_lp_value(inst, pool):
@@ -371,7 +370,7 @@ def _unbounded_lp_value(inst, pool):
     if not inst.rule.is_rational:
         return _lp_value(_coalition_lp(inst, pool))
     if not all(map(_is_exact, inst.scores)):
-        return _lp_value(_coalition_lp(inst, *_lp_columns(inst.rule)[inst.a, inst.beta]))
+        return _lp_value(_coalition_lp(inst, *_lp_columns(inst.rule, inst.a, inst.beta)))
     return _certified_value(inst)
 
 
@@ -382,7 +381,7 @@ MAX_CERTIFICATES = 32  # per rule
 def _canonical_lp(*weights):
     """(cost, rows, certificates): a rational rule's q3 program, winner relabelled 0, target 1.
 
-    Its columns are _lp_columns(rule)[0, 1], scaled by the weights' common
+    Its columns are _lp_columns(rule, 0, 1), scaled by the weights' common
     denominator S: row alpha, for alpha in 0, 2, .., m-1, reads
     S*(w[p(alpha)] - w[p(1)]) on a recruit and S*(1 - w[p(alpha)]) on a
     ballot, >= S*D[alpha] with D[alpha] the lead of alpha over beta; the last
@@ -393,7 +392,7 @@ def _canonical_lp(*weights):
     """
     rule = ScoreVector(weights)
     scale, rows = type_scores(rule)
-    recruits, ballots = _lp_columns(rule)[0, 1]
+    recruits, ballots = _lp_columns(rule, 0, 1)
     columns = [(*(row[alpha] - row[1] for alpha in range(rule.m) if alpha != 1), -1)
                for row in map(rows.get, recruits)]
     columns += [(*(scale - row[alpha] for alpha in range(rule.m) if alpha != 1), 1)
@@ -420,13 +419,13 @@ def _certified_value(inst):
         if value is not None:
             return value
     scale = type_scores(inst.rule)[0]
-    program = lp._KeepsBasis(cost, "min", (
+    program = lp.LinearProgram(cost, "min", (
         *((row, ">=", Fraction(scale * x, den)) for row, x in zip(rows, d)), (rows[-1], "=", 0)))
-    value = _lp_value(program)
-    certificate = _certificate(program, scale, d, den, value)
+    out = _solved(program)
+    certificate = _certificate(program, out.basis, scale, d, den, out.value)
     if certificate is not None and len(certificates) < MAX_CERTIFICATES:
         certificates.append(certificate)
-    return value
+    return out.value
 
 
 def _answer(certificate, d, den):
@@ -446,7 +445,7 @@ def _answer(certificate, d, den):
     return Fraction(yd, det * den)
 
 
-def _certificate(program, scale, d, den, value):
+def _certificate(program, basis, scale, d, den, value):
     """The certificate a _canonical_lp program's final basis gives, if it checks out; else None.
 
     With B the basis's columns and c_B their costs (phase 1's when value is
@@ -460,10 +459,9 @@ def _certificate(program, scale, d, den, value):
     n, r = len(program.objective), len(program.rows)
     columns = [*zip(*(coeffs for coeffs, _, _ in program.rows))]
     unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    column_of = dict(enumerate(columns))  # the labels of lp._KeepsBasis
+    column_of = dict(enumerate(columns))  # the labels of LpOutcome.basis
     column_of.update((n + i, tuple(-x for x in unit[i])) for i in range(r - 1))  # surpluses
     column_of.update((n + r + i, unit[i]) for i in range(r))  # artificials, all rhs >= 0
-    basis = program.basis
     if len(basis) != r or not all(k in column_of for k in basis):
         return None
     det, adj = _adjugate([column_of[k] for k in basis])

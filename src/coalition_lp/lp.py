@@ -11,10 +11,8 @@ floats are used with a pivot tolerance of 1e-9 and the point is re-verified
 against every constraint to a relative 1e-8 before being returned.
 
 No scaling, no revised simplex, no presolve; identical inputs always take
-identical pivots.  A program built as a _KeepsBasis also receives the final
-basis, phase 2's when it is optimal and phase 1's when it is infeasible, so
-that a caller can answer other right-hand sides from it; the solve itself,
-its pivots and its outcome are the same.
+identical pivots.  The outcome carries the final basis (LpOutcome.basis), so
+that a caller can answer other right-hand sides from it.
 """
 
 from __future__ import annotations
@@ -85,24 +83,21 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class _KeepsBasis(LinearProgram):
-    """A program whose solve leaves its final basis in `basis`, one column label per row.
+class LpOutcome:
+    """The status, value and point of a solve, and its final basis, one column label per row.
 
     The basis is phase 2's when the program is optimal, phase 1's when it is
-    infeasible, and empty otherwise.  With n variables and r rows, label j < n
-    is variable j, n + i the slack or surplus of row i, and n + r + i the
-    artificial of row i (+1 in the row as posed when its rhs is >= 0, else -1).
-    A row that phase 1 finds redundant is dropped, and its label with it.
+    infeasible, and empty when it is unbounded.  With n variables and r rows,
+    label j < n is variable j, n + i the slack or surplus of row i, and
+    n + r + i the artificial of row i (+1 in the row as posed when its rhs is
+    >= 0, else -1).  A row that phase 1 finds redundant is dropped, and its
+    label with it.
     """
 
-    basis: list = field(default_factory=list, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class LpOutcome:
     status: LpStatus
     value: object  # Fraction or float; +-inf for non-optimal statuses
     point: tuple | None
+    basis: tuple = field(default=(), compare=False, repr=False)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -151,12 +146,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     pivots_left = [MAX_PIVOTS]
 
-    def keep_basis():
-        if isinstance(lp, _KeepsBasis):
-            art_rows, slack_rows = (
-                {k: i for i, k in enumerate(cols) if k is not None} for cols in (art_of, slack_of))
-            lp.basis[:] = [k if k < n else n + slack_rows[k] if k < art_base
-                           else n + len(lp.rows) + art_rows[k] for k in basis]
+    def labels():  # the basis as LpOutcome.basis labels
+        r = len(lp.rows)
+        label = [*range(n), *(n + i for i in range(r) if slack_of[i] is not None),
+                 *(n + r + i for i in range(r) if art_of[i] is not None)]
+        return tuple(label[k] for k in basis)
 
     def run(allowed):
         """Bland-rule iterations on tableau[-1]; returns 'optimal' or 'unbounded'."""
@@ -202,8 +196,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if status != "optimal":
             raise NumericalFailure("phase 1 reported unbounded")
         if -tableau[-1][-1] > (0 if exact else FEAS_TOL):
-            keep_basis()
-            return _non_optimal(LpStatus.INFEASIBLE, minimize)
+            return LpOutcome(LpStatus.INFEASIBLE, math.inf if minimize else -math.inf, None,
+                             labels())
         # Drive leftover artificials out of the basis; drop redundant rows.
         for i in range(nrows - 1, -1, -1):
             if basis[i] >= art_base:
@@ -233,7 +227,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
         _eliminate(tableau, dens, nrows, i, basis[i], exact)
     status = run(art_base)
     if status == "unbounded":
-        return _non_optimal(LpStatus.UNBOUNDED, minimize)
+        return LpOutcome(LpStatus.UNBOUNDED, -math.inf if minimize else math.inf, None)
 
     # The point is xs / scale: the basic rows' integer rhs over one lcm, or floats over 1.0.
     basic = [(basis[i], i) for i in range(nrows) if basis[i] < n]
@@ -248,8 +242,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if not minimize:
         value = -value
     _verify_feasible(scaled, xs, scale, exact)
-    keep_basis()
-    return LpOutcome(LpStatus.OPTIMAL, value, tuple(point))
+    return LpOutcome(LpStatus.OPTIMAL, value, tuple(point), labels())
 
 
 def _scaled(values, exact):
@@ -294,14 +287,6 @@ def _eliminate(tableau, dens, i, r, e, exact):
 def _reduced(row, den):
     g = math.gcd(*row, den)
     return (row, den) if g == 1 else ([x // g for x in row], den // g)
-
-
-def _non_optimal(status: LpStatus, minimize: bool) -> LpOutcome:
-    if status is LpStatus.INFEASIBLE:
-        value = math.inf if minimize else -math.inf
-    else:
-        value = -math.inf if minimize else math.inf
-    return LpOutcome(status, value, None)
 
 
 def _verify_feasible(rows, xs, scale, exact: bool):

@@ -386,12 +386,6 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
 
     fact_small = math.factorial(max(m - 3, 0))
     fact_mid = math.factorial(m - 2)
-    x = {}
-    y = {}
-
-    def add(table, t, amount):
-        if amount:
-            table[t] = table.get(t, 0) + amount
 
     def per(q, zi, fact):
         if exact:  # an int over den * fact_mid, since fact divides fact_mid
@@ -401,37 +395,29 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
     # per-type amounts, each product formed once per (candidate, stratum), left to right
     bury = {(c, i): per(ru[c], zs[i - 1], fact_small) for c in others for i in range(1, m - 1)}
     keep = {(c, i): per(rv[c], zs[i - 1], fact_small) for c in others for i in range(2, m - 1)}
-    # recruits who bury a at the bottom, keyed by their own last-place candidate; an
-    # empty stratum (q_stratified's z has at most two non-empty ones) adds nothing
-    for i in range(1, m - 1):
-        if not zs[i - 1]:
-            continue
-        for t in inst.strata[i - 1]:
-            add(x, t, bury[t[m - 1], i])
-    for t in inst.first_types:
-        if t[m - 1] == inst.a:
-            add(y, t, sum(bury[t[i], i] for i in range(1, m - 1)))
-    # recruits who keep a where it was, keyed by their first-place candidate
-    for i in range(2, m - 1):
-        if not zs[i - 1]:
-            continue
-        for t in inst.strata[i - 1]:
-            add(x, t, keep[t[0], i])
-        for t in inst.first_types:
-            if t[i] == inst.a:
-                add(y, t, keep[t[i - 1], i])
-    # top-stratum recruits who vote sincerely
-    amount = per(sincere, zs[0], fact_mid)
-    for t in inst.strata[0]:
-        add(x, t, amount)
-        add(y, t, amount)
-    # bottom-stratum recruits (a already last on their sincere ballot)
+    top = per(sincere, zs[0], fact_mid)
     low = {c: per(v[c], zs[m - 2], fact_small) for c in others}
-    for t in inst.strata[m - 2]:
-        add(x, t, low[t[0]])
+    # a recruit type of stratum i: its buriers, keyed by its last-place candidate (i < m-1),
+    # and its keepers, keyed by its first-place one (1 < i < m-1), or its sincere voters
+    # (i = 1); stratum m-1 ranks a last already.  An empty stratum (q_stratified's z has at
+    # most two non-empty ones) adds nothing.
+    x = {}
+    for i, stratum in enumerate(inst.strata, 1):
+        if zs[i - 1]:
+            for t in stratum:
+                if i == m - 1:
+                    x[t] = low[t[0]]
+                else:
+                    x[t] = bury[t[m - 1], i] + (top if i == 1 else keep[t[0], i])
+    # a ballot, by a's place p in it: every stratum's buriers and stratum m-1 (p = m-1),
+    # stratum p's keepers (1 < p < m-1) or the sincere voters (p = 1)
+    y = {}
     for t in inst.first_types:
-        if t[m - 1] == inst.a:
-            add(y, t, low[t[m - 2]])
+        p = t.index(inst.a)
+        if p == m - 1:
+            y[t] = sum(bury[t[i], i] for i in range(1, m - 1)) + low[t[m - 2]]
+        elif zs[p - 1]:
+            y[t] = top if p == 1 else keep[t[p - 1], p]
 
     def entries(table):
         return {t: Fraction(amt, den * fact_mid) if exact else amt

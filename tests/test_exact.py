@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -286,7 +287,7 @@ def test_certified_values_match_fresh_full_pool_solves(monkeypatch):
 def test_certificate_guard_refuses_corrupted_bases(monkeypatch):
     """A final basis or ray that does not check out exactly is not stored; q3 is the solve's value.
 
-    Each corruption replaces the basis a solve hands out, mostly after an
+    Each corruption replaces the basis a solve returns, mostly after an
     honest solve of another target has stored one certificate.  The Borda program
     at m = 4 has 12 columns and 4 rows: labels 12-14 are the surpluses, 15
     would be the equality row's (it has none), 16-19 the artificials.  Its
@@ -302,8 +303,7 @@ def test_certificate_guard_refuses_corrupted_bases(monkeypatch):
 
     def corrupting(program):
         out = real_solve(program)
-        program.basis[:] = corrupt(list(program.basis))
-        return out
+        return dataclasses.replace(out, basis=corrupt(list(out.basis)))
 
     monkeypatch.setattr(lp, "solve", corrupting)
     cases = (  # rule, profile, the honest target, the corrupted target, its value, corruptions
@@ -334,23 +334,24 @@ def test_certificate_guard_refuses_corrupted_bases(monkeypatch):
 
 # q3 and q_program2 reprs recorded before they were answered from certificates: exact
 # weights with float or mixed int/float scores keep the (a, beta) columns' float solve.
-FLOAT_SCORE_PINS = {
-    ("borda", (10.0, 8.5, 7.0, 4.5)):
-        ("2.249999999999999", "2.249999999999999", "4.499999999999999", "8.249999999999998"),
-    ("borda", (10, 8.5, 7, 4.5)):
-        ("2.249999999999999", "2.249999999999999", "4.499999999999999", "8.249999999999998"),
-    ("weights:1,1,1/2,0", (12.25, 11, 9.5, 3)): ("1.25", "1.25", "3.5", "15.187500000000004"),
-    ("weights:1,1,1/2,0", (12, 11.75, 9, 3)): ("0.25", "0.25", "4.375", "14.937500000000002"),
-    ("plurality", (30.0, 21, 20.5, 15, 13.5)): ("9.0", "9.0", "9.5", "15.0", "16.5"),
-    ("antiplurality", (20, 18.5, 17, 9.5)): ("1.5", "1.5", "4.5", "inf"),
-    ("approval:2", (40, 39.25, 30, 22.5, 18.25)): ("0.75", "0.75", "10.0", "17.5", "21.75"),
-}
+# Pairs, not a dict: the two Borda scoreboards compare and hash equal.
+FLOAT_SCORE_PINS = (
+    (("borda", (10.0, 8.5, 7.0, 4.5)),
+     ("2.249999999999999", "2.249999999999999", "4.499999999999999", "8.249999999999998")),
+    (("borda", (10, 8.5, 7, 4.5)),
+     ("2.249999999999999", "2.249999999999999", "4.499999999999999", "8.249999999999998")),
+    (("weights:1,1,1/2,0", (12.25, 11, 9.5, 3)), ("1.25", "1.25", "3.5", "15.187500000000004")),
+    (("weights:1,1,1/2,0", (12, 11.75, 9, 3)), ("0.25", "0.25", "4.375", "14.937500000000002")),
+    (("plurality", (30.0, 21, 20.5, 15, 13.5)), ("9.0", "9.0", "9.5", "15.0", "16.5")),
+    (("antiplurality", (20, 18.5, 17, 9.5)), ("1.5", "1.5", "4.5", "inf")),
+    (("approval:2", (40, 39.25, 30, 22.5, 18.25)), ("0.75", "0.75", "10.0", "17.5", "21.75")),
+)
 
 
 def test_float_scores_keep_their_float_solve(monkeypatch):
     """The runner-up's q3 and q_program2, then q3 of targets 2.. (the winner is 0)."""
     monkeypatch.setattr(exact, "_certified_value", None)  # never reached
-    for (text, scores), want in FLOAT_SCORE_PINS.items():
+    for (text, scores), want in FLOAT_SCORE_PINS:
         rule = parse_rule(text, len(scores))
         runner_up = ManipulationInstance.from_scores(rule, scores)
         got = [q3(runner_up), q_program2_from_instance(runner_up)]
@@ -370,9 +371,35 @@ LP_COLUMN_COUNTS = {  # (recruits, ballots) of every (a, beta); the full pools h
 def test_lp_column_counts_are_pinned():
     for m, counts in LP_COLUMN_COUNTS.items():
         for text, want in counts.items():
-            table = exact._lp_columns(parse_rule(text, m))
+            rule = parse_rule(text, m)
+            got = {tuple(map(len, exact._lp_columns(rule, a, beta)))
+                   for a, beta in itertools.permutations(range(m), 2)}
+            assert got == {want}, (m, text)
+
+
+def _all_pairs_lp_columns(rule):
+    """{(a, beta): (recruits, ballots)} of every pair in one table: the reference for _lp_columns."""
+    rows = type_scores(rule)[1]
+    recruits = {pair: {} for pair in itertools.permutations(range(rule.m), 2)}
+    for i in range(rule.m - 1):  # stratum by stratum, as ba_types
+        for t, row in rows.items():
+            recruits[t[i + 1], t[i]].setdefault(tuple(s - row[t[i]] for s in row), t)
+    ballots = [{} for _ in range(rule.m)]
+    for t, row in rows.items():
+        ballots[t[0]].setdefault(row, t)
+    ballots = [tuple(kept.values()) for kept in ballots]
+    return {(a, beta): (tuple(kept.values()), ballots[beta])
+            for (a, beta), kept in recruits.items()}
+
+
+def test_lp_columns_per_pair_match_the_all_pairs_table():
+    """Entry for entry and in order, for every (a, beta) of the rational bound rules, m = 3..6."""
+    for m in range(3, 7):
+        for rule in _bound_rules(m)[:-1]:
+            table = _all_pairs_lp_columns(rule)
             assert len(table) == m * (m - 1)
-            assert {tuple(map(len, columns)) for columns in table.values()} == {want}, (m, text)
+            for (a, beta), columns in table.items():
+                assert exact._lp_columns(rule, a, beta) == columns, (m, rule, a, beta)
 
 
 def test_bracket_on_the_m4_benchmark_corpus():

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -323,19 +325,14 @@ def _solve_the_bounds():
 PINNED_EXACT_SOLVES = (825, "94e46b3d6b61d7ee681ad5e6d95a92c423ca5f5f03eeb0e0abcc820bc98e9ed9")
 
 
-def test_exact_pivots_are_pinned(monkeypatch):
-    """Every exact solve of the tests above and of the bound corpus, hashed.
-
-    The digest of repr((status, value, point)) over all of them was recorded
-    before the exact tableau moved from Fraction entries to integer rows, so
-    it pins the pivot path, not just the optimal values.
-    """
+def _replayed_exact_solves(monkeypatch):
+    """(program, outcome) of every exact solve of EXACT_PROGRAM_TESTS and of the bound corpus."""
     seen = []
 
     def recording(program):
         out = real_solve(program)
         if program.is_rational:
-            seen.append(repr((out.status, out.value, out.point)))
+            seen.append((program, out))
         return out
 
     real_solve = lp.solve
@@ -344,5 +341,77 @@ def test_exact_pivots_are_pinned(monkeypatch):
     for test in EXACT_PROGRAM_TESTS:
         test()
     _solve_the_bounds()
+    return seen
+
+
+def test_exact_pivots_are_pinned(monkeypatch):
+    """Every exact solve of the tests above and of the bound corpus, hashed.
+
+    The digest of repr((status, value, point)) over all of them was recorded
+    before the exact tableau moved from Fraction entries to integer rows, so
+    it pins the pivot path, not just the optimal values.
+    """
+    seen = [repr((out.status, out.value, out.point))
+            for _, out in _replayed_exact_solves(monkeypatch)]
     digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
     assert (len(seen), digest) == PINNED_EXACT_SOLVES
+
+
+def _posed_column(program, label):
+    """The column of an LpOutcome.basis label in the program's rows as posed."""
+    n, r = program.n_vars, len(program.rows)
+    if label < n:
+        return [Fraction(coeffs[label]) for coeffs, _, _ in program.rows]
+    i = (label - n) % r
+    _, rel, rhs = program.rows[i]
+    if label < n + r:  # a slack (+1) or a surplus (-1); an equality row has neither
+        assert rel != "="
+        sign = 1 if rel == "<=" else -1
+    else:  # an artificial, +1 in the row with its rhs made >= 0
+        sign = 1 if rhs >= 0 else -1
+    return [Fraction(sign * (k == i)) for k in range(r)]
+
+
+def _basic_values(program, basis):
+    """The unique values of the basis's columns that meet every row as posed with equality."""
+    size = len(basis)
+    a = [[*col, Fraction(rhs)] for *col, (_, _, rhs) in
+         zip(*(_posed_column(program, k) for k in basis), program.rows)]
+    for c in range(size):
+        p = next((i for i in range(c, len(a)) if a[i][c]), None)
+        assert p is not None, "the basis's columns are dependent"
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(len(a)):
+            if i != c and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[c])]
+    assert not any(row[-1] for row in a[size:]), "a dropped row is not redundant"
+    return [row[-1] for row in a[:size]]
+
+
+def test_outcomes_carry_their_final_basis(monkeypatch):
+    """LpOutcome.basis on every exact solve test_exact_pivots_are_pinned replays.
+
+    An optimal basis holds no artificial, and its columns, solved against the
+    rhs, give the returned point.  An infeasible program's phase-1 basis is a
+    non-negative basic solution with an artificial above 0, and an unbounded
+    program has none.  The basis is left out of the outcome's repr and equality.
+    """
+    statuses = Counter()
+    for program, out in _replayed_exact_solves(monkeypatch):
+        statuses[out.status] += 1
+        bare = dataclasses.replace(out, basis=())
+        assert out == bare and repr(out) == repr(bare)
+        n, r = program.n_vars, len(program.rows)
+        if out.status is LpStatus.UNBOUNDED:
+            assert out.basis == ()
+            continue
+        assert type(out.basis) is tuple and len(set(out.basis)) == len(out.basis) <= r
+        values = dict(zip(out.basis, _basic_values(program, out.basis)))
+        assert all(v >= 0 for v in values.values())
+        if out.status is LpStatus.OPTIMAL:
+            assert all(k < n + r for k in out.basis)
+            assert out.point == tuple(values.get(j, 0) for j in range(n))
+        else:
+            assert any(v > 0 for k, v in values.items() if k >= n + r)
+    assert len(statuses) == 3, statuses
