@@ -325,42 +325,49 @@ def _type_maps(m):
     return {t: i for i, t in enumerate(types)}, {t: tuple(map(t.index, range(m))) for t in types}
 
 
-@functools.lru_cache(maxsize=16)
-def integer_weights(*weights):
-    """(scale, ints) of rational weights: the lcm of their denominators, and w * scale."""
-    weights = [Fraction(w) for w in weights]
-    scale = math.lcm(*(w.denominator for w in weights))
-    return scale, tuple(int(w * scale) for w in weights)
+def per_rule(build):
+    """Memoize build(rule, *args) in the rule's __dict__, which eq, hash, repr and replace() skip."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @functools.wraps(build)
+    def tables(rule, *args):
+        memo = rule.__dict__.setdefault(key, {})
+        return memo[args] if args in memo else memo.setdefault(args, build(rule, *args))
+
+    return tables
 
 
+@per_rule
+def integer_weights(rule: ScoreVector) -> tuple:
+    """(scale, ints) of a rational rule: the lcm of its weights' denominators, and w * scale."""
+    scale = math.lcm(*(w.denominator for w in rule.weights))
+    return scale, tuple(int(w * scale) for w in rule.weights)
+
+
+@per_rule
 def type_scores(rule: ScoreVector) -> tuple:
     """(scale, rows): rows[t][c] / scale is what one ballot of type t gives candidate c.
 
     rows maps every type, in all_rankings order, to ints over integer_weights'
     scale for a rational rule and to the rule's own weights over 1 otherwise.
     """
-    return _type_scores(*rule.weights)
+    scale, w = integer_weights(rule) if rule.is_rational else (1, rule.weights)
+    return scale, {t: tuple(w[p] for p in places) for t, places in _type_maps(rule.m)[1].items()}
 
 
-@functools.lru_cache(maxsize=16, typed=True)  # Fraction(1, 2) == 0.5, and both hash alike
-def _type_scores(*weights):
-    scale, w = integer_weights(*weights) if all(map(_is_exact, weights)) else (1, weights)
-    return scale, {t: tuple(w[p] for p in places) for t, places in _type_maps(len(w))[1].items()}
-
-
-@functools.lru_cache(maxsize=16)
-def _packed_rows(nbits, *weights):
-    """(scale, lo, width, rows) of rational weights: rows[t] packs type t's int scores.
+@per_rule
+def _packed_rows(rule: ScoreVector, nbits: int) -> tuple:
+    """(scale, lo, width, rows) of a rational rule: rows[t] packs type t's int scores.
 
     Candidate c's score minus lo sits at bit width*c.  A field sums fewer
     than 2**nbits ballots of at most max - lo each, so it stays below
     2**width and never carries into the next candidate's.
     """
-    scale, w = integer_weights(*weights)
+    scale, w = integer_weights(rule)
     lo = min(w)
     width = nbits + (max(w) - lo).bit_length()
     rows = tuple(sum((w[p] - lo) << width * c for c, p in enumerate(places))
-                 for places in _type_maps(len(w))[1].values())
+                 for places in _type_maps(rule.m)[1].values())
     return scale, lo, width, rows
 
 
@@ -374,7 +381,7 @@ def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
         raise ValueError("rule and profile must share m")
     m, n, counts = profile.m, profile.n, profile.counts
     if rule.is_rational:
-        scale, lo, width, rows = _packed_rows(max(64, n.bit_length()), *rule.weights)
+        scale, lo, width, rows = _packed_rows(rule, max(64, n.bit_length()))
         total = sum(map(mul, itertools.compress(rows, counts), itertools.compress(counts, counts)))
         mask = (1 << width) - 1
         scores = (((total >> width * c) & mask) + lo * n for c in range(m))

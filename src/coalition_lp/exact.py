@@ -33,7 +33,8 @@ proves every D with y . D > 0 unreachable.  A right-hand side that none of
 the rule's stored certificates (at most MAX_CERTIFICATES) answers is solved,
 and the certificate its final basis (LpOutcome.basis) gives is checked once,
 exactly, before it is stored.  An LP's optimal value is unique, so no value
-depends on what is stored or on the order of calls.
+depends on what is stored or on the order of calls.  The program, its columns
+and its certificates are built once per rule object and freed with it.
 Float rules, exact weights with float scores, and q2 solve as before.
 
 The search tries coalition sizes k upward from ceil(q3).  At each k it walks
@@ -65,6 +66,7 @@ from .election import (
     _is_exact,
     _type_maps,
     all_rankings,
+    per_rule,
     scoreboard,
     top_two,
     type_scores,
@@ -81,12 +83,6 @@ class InstanceTooLarge(Exception):
 
 MAX_EXACT_M = 4
 NODE_BUDGET = 10_000_000
-
-
-@lru_cache(maxsize=16, typed=True)  # Fraction(1, 2) == 0.5, and both hash alike
-def _lp_tables(*w):
-    """gain[i][j] = -(w[i] - w[j]) with beta in place i and alpha in j, and lift[j] = 1 - w[j]."""
-    return tuple(tuple(-(wi - wj) for wj in w) for wi in w), tuple(1 - wj for wj in w)
 
 
 @dataclass(frozen=True)
@@ -307,7 +303,7 @@ def _coalition_lp(inst, xs, ys=None, upper_slack=None) -> lp.LinearProgram:
 
     upper_slack=K adds the shrunk recruitment bounds x_t <= N_t - K.
     """
-    gain, lift = _lp_tables(*inst.rule.weights)
+    w = inst.rule.weights
     places = _type_maps(inst.m)[1]
     ys = inst.first_types if ys is None else ys
     nx, ny = len(xs), len(ys)
@@ -316,8 +312,8 @@ def _coalition_lp(inst, xs, ys=None, upper_slack=None) -> lp.LinearProgram:
     for alpha in range(inst.m):
         if alpha == inst.beta:
             continue
-        coeffs = [gain[p[inst.beta]][p[alpha]] for p in x_at]
-        coeffs += [lift[p[alpha]] for p in y_at]
+        coeffs = [w[p[alpha]] - w[p[inst.beta]] for p in x_at]
+        coeffs += [1 - w[p[alpha]] for p in y_at]
         rows.append((tuple(coeffs), ">=", inst.scores[alpha] - inst.scores[inst.beta]))
     rows.append((tuple([-1] * nx + [1] * ny), "=", 0))
     if upper_slack is not None:
@@ -328,7 +324,7 @@ def _coalition_lp(inst, xs, ys=None, upper_slack=None) -> lp.LinearProgram:
     return lp.LinearProgram(tuple([1] * nx + [0] * ny), "min", tuple(rows))
 
 
-@lru_cache(maxsize=64)
+@per_rule
 def _lp_columns(rule, a, beta):
     """(recruits, ballots): the columns of a rational rule's unbounded LP for (a, beta) that matter.
 
@@ -377,8 +373,8 @@ def _unbounded_lp_value(inst, pool):
 MAX_CERTIFICATES = 32  # per rule
 
 
-@lru_cache(maxsize=16, typed=True)  # Fraction(1, 2) == 0.5, and both hash alike
-def _canonical_lp(*weights):
+@per_rule
+def _canonical_lp(rule):
     """(cost, rows, certificates): a rational rule's q3 program, winner relabelled 0, target 1.
 
     Its columns are _lp_columns(rule, 0, 1), scaled by the weights' common
@@ -390,7 +386,6 @@ def _canonical_lp(*weights):
     in the order found; it stops growing at MAX_CERTIFICATES, and a hit
     leaves it as it is.
     """
-    rule = ScoreVector(weights)
     scale, rows = type_scores(rule)
     recruits, ballots = _lp_columns(rule, 0, 1)
     columns = [(*(row[alpha] - row[1] for alpha in range(rule.m) if alpha != 1), -1)
@@ -413,7 +408,7 @@ def _certified_value(inst):
     lead = [s.numerator * (den // s.denominator) for s in inst.scores]
     order = sorted(range(inst.m), key=lambda c: (-lead[c], c))
     d = [lead[c] - lead[beta] for c in (a, *(c for c in order if c != a and c != beta))]
-    cost, rows, certificates = _canonical_lp(*inst.rule.weights)
+    cost, rows, certificates = _canonical_lp(inst.rule)
     for certificate in certificates:
         value = _answer(certificate, d, den)
         if value is not None:

@@ -21,8 +21,8 @@ Python ints: M_w's rows scaled by the weights' common denominator, and every
 scalar of the witness (z, the scores, A, B, r, u, v and the per-type
 amounts) as a numerator over a known denominator.  Fractions are built only
 for the vertices and plan entries returned.  M_w and its cone-optimal
-vertices depend on the rule alone and are built once per rule, keyed by the
-weights with their types.
+vertices depend on the rule alone: they are built once per rule object and
+freed with it.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import lp
 from .election import (
-    InvalidInput, ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, integer_weights, top_two,
+    InvalidInput, ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, integer_weights, per_rule,
+    top_two,
 )
 from .exact import CoalitionPlan, ManipulationInstance, verify_stratified_plan
 
@@ -155,21 +156,16 @@ def _hull_ccw(points):
     return tuple(lower[:-1] + upper[:-1])
 
 
+@per_rule
 def mw_polytope(rule: ScoreVector) -> Polytope2D:
     """The feasible region of the two-variable dual program for the rule.
 
     Rational rows (W[i], S - W[i-1], S) meet by Cramer's rule in ints; a
     float rule's points are divided out first and tested within TIE_TOL.
-    The region depends on the rule alone and is built once per rule: every
-    call with the same weights returns the same object.
+    The region depends on the rule alone and is built once per rule object:
+    every call with the same rule object returns the same polytope.
     """
-    return _mw_polytope(*rule.weights)
-
-
-@lru_cache(maxsize=16, typed=True)  # Fraction(1, 2) == 0.5, and both hash alike
-def _mw_polytope(*w):
-    rule = ScoreVector(w)
-    m = rule.m
+    w, m = rule.weights, rule.m
     exact = rule.is_rational
     one = Fraction(1) if exact else 1.0
     zero = one - one
@@ -180,7 +176,7 @@ def _mw_polytope(*w):
     rows.append((one, -one, zero))  # lam <= mu
     lines = rows
     if exact:
-        scale, ints = integer_weights(*rule.weights)
+        scale, ints = integer_weights(rule)
         lines = [(ints[i], scale - ints[i - 1], scale) for i in range(1, m)] + [(-1, 0, 0), (1, -1, 0)]
 
     points = set()
@@ -445,7 +441,7 @@ def _exact_shares(inst, z, others):
     zs = [zi.numerator * (dz // zi.denominator) for zi in z]
     if any(zi < 0 for zi in zs):
         raise ZInfeasible("negative recruitment total")
-    scale, ints = integer_weights(*inst.rule.weights)
+    scale, ints = integer_weights(inst.rule)
     sden = math.lcm(*(s.denominator for s in inst.scores))
     lead = [s.numerator * (sden // s.denominator) for s in inst.scores]
     unit = m * dz * scale  # a numerator over sden, times unit, is over G

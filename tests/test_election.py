@@ -1,13 +1,16 @@
+import ast
 import dataclasses
 import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalition_lp import election
 from coalition_lp.election import (
     ConstantVector, MTooLarge, NotMonotone, Profile, ScoreVector, TooFewCandidates,
     all_rankings, antiplurality, borda, k_approval, normalize, parse_rule,
@@ -300,3 +303,18 @@ def test_score_matrix_is_pinned():
         matrix = score_matrix(rule)
         digest.update(repr((matrix.shape, matrix.dtype)).encode() + matrix.tobytes())
     assert (len(rules), digest.hexdigest()) == PINNED_MATRICES
+
+
+def test_module_caches_are_keyed_by_m_alone():
+    """Every lru_cache or cache in the package takes m first: a rule's tables live on the rule."""
+    cached = []
+    for path in sorted(Path(election.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    cached.append((path.name, node.name, [arg.arg for arg in node.args.args][:1]))
+    assert cached and all(first == ["m"] for _, _, first in cached), cached

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from coalition_lp import election, exact, lp
 from coalition_lp.election import (
-    Profile, all_rankings, antiplurality, borda, integer_weights, normalize, parse_rule,
+    Profile, all_rankings, antiplurality, borda, normalize, parse_rule,
     plurality, sample_ic, scoreboard, sigma, top_two, type_scores,
 )
 from coalition_lp.exact import (
@@ -19,7 +21,9 @@ from coalition_lp.exact import (
     mcs_outcome, q1, q2, q3, q_program2, q_program2_from_instance,
     verify_integral_plan, verify_plan,
 )
-from coalition_lp.reduction import MarginPair, k_constant, mw_polytope, q_dual
+from coalition_lp.reduction import (
+    MarginPair, cone_optimal_vertices, k_constant, mw_polytope, q_dual,
+)
 from oracles import brute_mcs, milp_mcs
 
 PLURALITY_TINY = Profile.from_counts(3, {(0, 1, 2): 4, (1, 0, 2): 3, (2, 1, 0): 1})
@@ -252,7 +256,6 @@ def test_certified_values_match_fresh_full_pool_solves(monkeypatch):
         return real_solve(program)
 
     monkeypatch.setattr(lp, "solve", counting)
-    exact._canonical_lp.cache_clear()
     calls, values = [], []
     hits = misses = rays = 0
     for profile, rule in _certificate_corpus():
@@ -277,11 +280,13 @@ def test_certified_values_match_fresh_full_pool_solves(monkeypatch):
                 calls.append((bound, inst))
                 values.append(got)
     assert min(hits, misses, rays) > 0 and hits > 4 * misses, (hits, misses, rays)
-    exact._canonical_lp.cache_clear()
+    fresh = {}  # each rule anew, so that the replay starts from empty tables
+    calls = [(bound, dataclasses.replace(inst, rule=fresh.setdefault(
+        id(inst.rule), dataclasses.replace(inst.rule)))) for bound, inst in calls]
     monkeypatch.setattr(exact, "MAX_CERTIFICATES", 2)  # a full table leaves the rest to solves
     replay = [bound(inst) for bound, inst in reversed(calls)][::-1]
     assert [(v, type(v)) for v in replay] == [(v, type(v)) for v in values]
-    assert {len(exact._canonical_lp(*inst.rule.weights)[2]) for _, inst in calls} == {1, 2}
+    assert {len(exact._canonical_lp(inst.rule)[2]) for _, inst in calls} == {1, 2}
 
 
 def test_certificate_guard_refuses_corrupted_bases(monkeypatch):
@@ -319,14 +324,14 @@ def test_certificate_guard_refuses_corrupted_bases(monkeypatch):
     )
     for rule, profile, honest, beta, value, corruptions in cases:
         for corruption in (*corruptions, None):
-            exact._canonical_lp.cache_clear()
+            fresh = dataclasses.replace(rule)  # a new rule object holds no certificates
             corrupt = list
             if honest is not None:  # its certificate does not answer beta
-                q3(ManipulationInstance.from_profile(profile, rule, honest))
-            table = exact._canonical_lp(*rule.weights)[2]
+                q3(ManipulationInstance.from_profile(profile, fresh, honest))
+            table = exact._canonical_lp(fresh)[2]
             stored = [*table]
             corrupt = corruption or list
-            got = q3(ManipulationInstance.from_profile(profile, rule, beta))
+            got = q3(ManipulationInstance.from_profile(profile, fresh, beta))
             assert got == value and type(got) is type(value)
             assert table[:len(stored)] == stored and len(table) == len(stored) + (not corruption)
             assert len(stored) == (honest is not None)
@@ -698,13 +703,18 @@ def test_budget_error_gives_the_seconds_spent(monkeypatch):
         mcs_outcome(sample_ic(200, 4, (9, 200, 5)), borda(4))
 
 
-def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
-    """Fraction(1, 2) == 0.5 and both hash alike, so the rule tables are keyed by weight types.
+def _tables_of(rule):
+    """The names of the per_rule tables built on the rule object."""
+    return {key.rpartition(".")[2] for key in vars(rule) if "." in key}
 
-    A float rule never reads the certificates a rational q3 stored, and stores none.
+
+def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
+    """(1, 1/2, 0) == (1, 0.5, 0) and both hash alike, yet each rule keeps its own arithmetic.
+
+    Score rows, coalition programs and polytope are each rule's own, whichever
+    comes first.  A float rule never reads the certificates a rational q3
+    stored, and stores none.
     """
-    rational, floating = parse_rule("weights:1,1/2,0"), normalize((1.0, 0.5, 0.0))
-    assert rational == floating and hash(rational) == hash(floating)
     solved, answered = [], []
     real_solve, real_answer = lp.solve, exact._answer
 
@@ -718,11 +728,10 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", recording)
     monkeypatch.setattr(exact, "_answer", reading)
-    for order in ((rational, floating), (floating, rational)):
-        for cached in (exact._lp_tables, exact._canonical_lp, election._type_scores,
-                       integer_weights):
-            cached.cache_clear()
-        for rule in order:
+    for rational_first in (True, False):
+        rational, floating = parse_rule("weights:1,1/2,0"), normalize((1.0, 0.5, 0.0))
+        assert rational == floating and hash(rational) == hash(floating)
+        for rule in (rational, floating) if rational_first else (floating, rational):
             kind = Fraction if rule is rational else float
             scale, rows = type_scores(rule)
             assert scale == (2 if rule is rational else 1)
@@ -735,13 +744,63 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
                 == {kind}
             del solved[:], answered[:]
             assert type(q3(inst)) is kind and solved == [rule is rational]
-            tables = exact._canonical_lp.cache_info().currsize
             if rule is rational:
-                assert tables == 1 and len(exact._canonical_lp(*rule.weights)[2]) == 1
-            else:  # no certificate read and no table of its own
-                assert answered == [] and tables == (order[0] is rational)
-            if rule is rational:
+                assert len(exact._canonical_lp(rule)[2]) == 1
                 assert exact._integer_tables(inst)[0] == 2
-            else:
+            else:  # no certificate read and no program of its own
+                assert answered == [] and "_canonical_lp" not in _tables_of(rule)
                 with pytest.raises(ValueError, match="rational rule"):
                     exact._integer_tables(inst)
+            poly = mw_polytope(rule)
+            assert mw_polytope(rule) is poly
+            assert {type(c) for point in (*poly.vertices, *poly.rows) for c in point} == {kind}
+            assert {type(c) for point in cone_optimal_vertices(poly) for c in point} == {kind}
+
+
+def test_rule_tables_leave_the_rule_as_it_was():
+    """Built tables change no repr, eq or hash; the same object reuses them, a copy starts empty."""
+    profile = sample_ic(50, 4, (9, 50, 1))  # a strict winner under every rule
+    for rule in _bound_rules(4):
+        before = repr(rule), hash(rule)
+        scoreboard(profile, rule)
+        inst = ManipulationInstance.from_profile(profile, rule)
+        q3(inst)
+        poly = mw_polytope(rule)
+        built = {"type_scores", "mw_polytope"}
+        if rule.is_rational:
+            built |= {"integer_weights", "_packed_rows", "_lp_columns", "_canonical_lp"}
+        assert _tables_of(rule) == built
+        assert (repr(rule), hash(rule)) == before and rule == normalize(rule.weights)
+        assert [f.name for f in dataclasses.fields(rule)] == ["weights"]
+        assert dataclasses.asdict(rule) == {"weights": rule.weights}
+        assert type_scores(rule) is type_scores(rule) and mw_polytope(rule) is poly
+        if rule.is_rational:
+            assert election._packed_rows(rule, 64) is election._packed_rows(rule, 64)
+            assert election._packed_rows(rule, 65) is not election._packed_rows(rule, 64)
+        copy = dataclasses.replace(rule)
+        assert copy == rule and vars(copy) == {"weights": rule.weights}
+        assert mw_polytope(copy) is not poly and repr(mw_polytope(copy)) == repr(poly)
+        assert type_scores(copy) is not type_scores(rule) and type_scores(copy) == type_scores(rule)
+        assert q3(ManipulationInstance.from_profile(profile, copy)) == q3(inst)
+
+
+def test_dropped_rules_return_their_tables():
+    """16 m = 8 rules, each given its score rows and polytope and then dropped, leave < 5 MB traced.
+
+    Caches keyed by the weights, 16 entries each, kept ~84 MB of these rows.
+    Every table is held the same way, so the score rows, 5.5 MB a rule, stand
+    for them all; the packed rows would triple the time spent under tracing.
+    """
+    type_scores(borda(8))  # the per-m type maps stay; build them before tracing
+    tracemalloc.start()
+    try:
+        for i in range(16):
+            rule = normalize([8 + i, *range(6, -1, -1)])
+            type_scores(rule), mw_polytope(rule)
+            assert _tables_of(rule) == {"integer_weights", "type_scores", "mw_polytope"}
+        del rule
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 5 * 2**20, retained

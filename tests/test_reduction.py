@@ -16,7 +16,7 @@ from coalition_lp.exact import (
 )
 from coalition_lp.reduction import (
     ConstructionFailed, MarginPair, ParamOutOfRange, Polytope2D, UnknownFamily,
-    ZInfeasible, _cone_optimal_vertices, _mw_polytope, closed_form_q, cone_optimal_vertices,
+    ZInfeasible, _cone_optimal_vertices, closed_form_q, cone_optimal_vertices,
     mw_polytope, optimal_vertex_set, q_dual, q_stratified, sigma_scaled, witness_from_z,
 )
 from oracles import polytope_vertices
@@ -168,6 +168,45 @@ def test_triality_on_profiles():
             checked += 1
 
 
+PLANAR_DUAL_TARGETS = {4: (165, 55), 5: (224, 56), 6: (270, 54)}  # (targets, runner-ups) per m
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_planar_dual_bounds_q3_at_every_target(m):
+    """q_dual <= q3 at every target beta, with equality at the runner-up.
+
+    beta's margins are (|a| - mean, mean - |beta|).  Their dual relaxes q3: it
+    keeps a's row and the sum of all rows, and the total score, so the mean,
+    does not move.  At the runner-up q3 is program (2), whose value the dual
+    is.  Seed-9 IC profiles, n in {50, 200, 1000} and i < 4, under Borda,
+    plurality, antiplurality, 2-approval and a rule with non-unit denominators.
+    """
+    rules = [parse_rule(text, m) for text in ("borda", "plurality", "antiplurality", "approval:2")]
+    rules.append(_pinned_rules(m)[4])
+    targets = runner_ups = 0
+    for n in (50, 200, 1000):
+        for i in range(4):
+            profile = sample_ic(n, m, (9, n, i))
+            for rule in rules:
+                board = scoreboard(profile, rule)
+                a, b, strict = top_two(board)
+                if not strict:
+                    continue
+                poly = mw_polytope(rule)
+                for beta in range(m):
+                    if beta == a:
+                        continue
+                    margins = MarginPair(board.scores[a] - board.mean, board.mean - board.scores[beta])
+                    dual = q_dual(margins, poly)
+                    bound = q3(ManipulationInstance.from_profile(profile, rule, beta))
+                    assert dual <= bound, (rule, n, i, beta)
+                    if beta == b:
+                        assert dual == bound, (rule, n, i)
+                        runner_ups += 1
+                    targets += 1
+    assert (targets, runner_ups) == PLANAR_DUAL_TARGETS[m]
+
+
 def test_margin_pair_cone():
     assert MarginPair(6, 2).scoreboard_valid(4)
     assert not MarginPair(6, Fraction(21, 10)).scoreboard_valid(4)
@@ -217,7 +256,7 @@ def test_witness_on_synthetic_scoreboards():
             assert plan.size == value
 
 
-PINNED_WITNESSES = (128, "707ef48990956edfda3e7ebb9cce39eb819c29b34322c4c87a92a2a4e54cf9bc")
+PINNED_WITNESSES = (192, "c859c1e2d5cfa8b238052146d744e37fe3ec1bfcba66d2355fbc1dfe3969bd18")
 
 
 def test_witness_plans_are_pinned():
@@ -227,7 +266,10 @@ def test_witness_plans_are_pinned():
     before those products were formed once per (candidate, stratum): exact
     plans must stay the same Fractions and float plans the same floats, bit
     for bit.  z is q_stratified's optimum and, to leave the vertex, that
-    optimum times 3/2.
+    optimum times 3/2 and that optimum plus 1 in every stratum.  The last
+    stays feasible, since no row coefficient is negative, and fills every
+    stratum, so a float amount summed over three or more strata pins the
+    order of its additions.
     """
     digest = hashlib.sha256()
     count = 0
@@ -240,7 +282,8 @@ def test_witness_plans_are_pinned():
                     continue
                 inst = ManipulationInstance.from_profile(profile, rule)
                 _, z = q_stratified(MarginPair.from_scoreboard(board), rule)
-                for zs in () if z is None else (z, [zi * 3 / 2 for zi in z]):
+                zs_list = () if z is None else (z, [zi * 3 / 2 for zi in z], [zi + 1 for zi in z])
+                for zs in zs_list:
                     plan = witness_from_z(inst, zs)
                     digest.update(repr((sorted(plan.x.items()), sorted(plan.y.items()))).encode())
                     count += 1
@@ -291,22 +334,25 @@ def test_polytope_geometry_is_pinned():
 
 
 def test_cached_polytopes_match_fresh_builds():
-    """Per rule, one polytope object and one cone-optimal tuple, equal to an uncached build."""
+    """Per rule object, one polytope and one cone-optimal tuple; an equal new rule builds its own."""
     for m in range(3, 9):
         for rule in _pinned_rules(m):
             poly = mw_polytope(rule)
-            fresh = _mw_polytope.__wrapped__(*rule.weights)
+            assert mw_polytope(rule) is poly
+            assert cone_optimal_vertices(mw_polytope(rule)) is cone_optimal_vertices(poly)
+            fresh = mw_polytope(ScoreVector(tuple(rule.weights)))  # an equal rule, another object
+            assert fresh is not poly and fresh == poly
             assert repr(poly) == repr(fresh)
             assert repr(cone_optimal_vertices(poly)) == repr(_cone_optimal_vertices(fresh))
-            again = mw_polytope(ScoreVector(tuple(rule.weights)))  # an equal rule, another object
-            assert again is poly
-            assert cone_optimal_vertices(again) is cone_optimal_vertices(poly)
 
 
 @pytest.mark.parametrize("first", ["float", "fraction"])
 def test_polytope_cache_keeps_float_and_rational_rules_apart(first):
-    """(1, 0.5, 0) == (1, 1/2, 0) and both hash alike, yet each keeps its own arithmetic."""
-    _mw_polytope.cache_clear()
+    """(1, 0.5, 0) == (1, 1/2, 0) and both hash alike, yet each keeps its own arithmetic.
+
+    Whichever rule is built first, the other builds its own polytope: the
+    tables live on the rule object, not under its weights.
+    """
     rules = {"float": ScoreVector((1, 0.5, 0)), "fraction": ScoreVector((1, Fraction(1, 2), 0))}
     assert rules["float"] == rules["fraction"] and hash(rules["float"]) == hash(rules["fraction"])
     polys = {key: mw_polytope(rules[key]) for key in sorted(rules, key=lambda key: key != first)}
