@@ -49,23 +49,17 @@ class LimitModel:
     has_ray: bool
     dots: tuple  # vertices optimal on a positive measure of margins
     dot_rows: tuple  # the rows of scaled_vertices that hold the dots
-    diag_coeff_sq: object  # exact Fraction for rational rules
+    diag_coeff_sq: Fraction
     c_w: float | None  # set when V_w = c_w * (rho1 - rho2)
 
 
 def limit_model(rule: ScoreVector) -> LimitModel:
     poly = mw_polytope(rule)
     m = rule.m
-    w = rule.weights
-    if rule.is_rational:
-        coefs = [1 - Fraction(w[i]) + Fraction(w[i + 1]) for i in range(m - 1)]
-        b_w = 1 / max(coefs)
-        var = Fraction(rule.variance)
-        diag_sq = var * Fraction(m, m - 1) * b_w * b_w
-    else:
-        coefs = [1 - w[i] + w[i + 1] for i in range(m - 1)]
-        b_w = 1.0 / max(coefs)
-        diag_sq = float(rule.variance) * m / (m - 1) * b_w * b_w
+    w = rule.weights  # read exactly, floats too, as mw_polytope reads them
+    coefs = [1 - Fraction(w[i]) + Fraction(w[i + 1]) for i in range(m - 1)]
+    b_w = 1 / max(coefs)
+    diag_sq = Fraction(rule.variance) * Fraction(m, m - 1) * b_w * b_w
     scale = math.sqrt(float(rule.variance) * m / (m - 1))
     dots = cone_optimal_vertices(poly)
     diag = (b_w, b_w)

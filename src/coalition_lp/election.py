@@ -6,8 +6,10 @@ ranking of all candidates, best first.  A positional rule assigns weight
 (top weight 1, bottom weight 0, non-increasing).
 
 Arithmetic is exact (fractions.Fraction) whenever every weight is rational,
-which is the default for the named rules.  Float score vectors are supported
-with a tie tolerance of TIE_TOL.
+which is the default for the named rules.  A rule given as floats has its
+weights read exactly by integer_weights for its geometry, witness and limit
+model; its scoreboards, ties and LP values stay float, with a tie tolerance
+of TIE_TOL.
 """
 
 from __future__ import annotations
@@ -331,7 +333,7 @@ def per_rule(build):
 
     @functools.wraps(build)
     def tables(rule, *args):
-        memo = rule.__dict__.setdefault(key, {})
+        memo = rule.__dict__.get(key) or rule.__dict__.setdefault(key, {})
         return memo[args] if args in memo else memo.setdefault(args, build(rule, *args))
 
     return tables
@@ -339,9 +341,10 @@ def per_rule(build):
 
 @per_rule
 def integer_weights(rule: ScoreVector) -> tuple:
-    """(scale, ints) of a rational rule: the lcm of its weights' denominators, and w * scale."""
-    scale = math.lcm(*(w.denominator for w in rule.weights))
-    return scale, tuple(int(w * scale) for w in rule.weights)
+    """(scale, ints): the lcm of the weights' denominators, and w * scale; floats read exactly."""
+    ratios = [w.as_integer_ratio() for w in rule.weights]
+    scale = math.lcm(*(d for _, d in ratios))
+    return scale, tuple(n * (scale // d) for n, d in ratios)
 
 
 @per_rule

@@ -16,11 +16,12 @@ value as a primal LP over per-stratum recruitment totals z, and
 witness_from_z turns any feasible z into an explicit fractional coalition
 plan for the stratified program.
 
-For a rational rule the exact geometry and the witness are computed on
-Python ints: M_w's rows scaled by the weights' common denominator, and every
-scalar of the witness (z, the scores, A, B, r, u, v and the per-type
-amounts) as a numerator over a known denominator.  Fractions are built only
-for the vertices and plan entries returned.  M_w and its cone-optimal
+The geometry and the witness are computed on Python ints for every rule,
+floats read exactly: M_w's rows scaled by the weights' common denominator,
+and every scalar of the witness (z, the scores, A, B, r, u, v and the
+per-type amounts) as a numerator over a known denominator.  Fractions are
+built only for the vertices and plan entries returned; a witness with a
+float input rounds each amount once, to a float.  M_w and its cone-optimal
 vertices depend on the rule alone: they are built once per rule object and
 freed with it.
 """
@@ -160,47 +161,35 @@ def _hull_ccw(points):
 def mw_polytope(rule: ScoreVector) -> Polytope2D:
     """The feasible region of the two-variable dual program for the rule.
 
-    Rational rows (W[i], S - W[i-1], S) meet by Cramer's rule in ints; a
-    float rule's points are divided out first and tested within TIE_TOL.
-    The region depends on the rule alone and is built once per rule object:
-    every call with the same rule object returns the same polytope.
+    Its rows, scaled by integer_weights to (W[i], S - W[i-1], S), meet by
+    Cramer's rule in ints, so a rule given as floats gets the exact region of
+    its weights.  Vertices, rays and rows are Fractions.  The region depends
+    on the rule alone and is built once per rule object: every call with the
+    same rule object returns the same polytope.
     """
-    w, m = rule.weights, rule.m
-    exact = rule.is_rational
-    one = Fraction(1) if exact else 1.0
-    zero = one - one
-    rows = []
-    for i in range(1, m):  # w[i] is w_{i+1}, w[i-1] is w_i in 1-based terms
-        rows.append((w[i] + zero, one - w[i - 1], one))
-    rows.append((-one, zero, zero))  # 0 <= lam
-    rows.append((one, -one, zero))  # lam <= mu
-    lines = rows
-    if exact:
-        scale, ints = integer_weights(rule)
-        lines = [(ints[i], scale - ints[i - 1], scale) for i in range(1, m)] + [(-1, 0, 0), (1, -1, 0)]
-
+    m = rule.m
+    scale, ints = integer_weights(rule)
+    # w[i] is w_{i+1}, w[i-1] is w_i in 1-based terms; then 0 <= lam and lam <= mu
+    lines = [(ints[i], scale - ints[i - 1], scale) for i in range(1, m)] + [(-1, 0, 0), (1, -1, 0)]
     points = set()
     for i, (a1, b1, c1) in enumerate(lines):
         for a2, b2, c2 in lines[i + 1:]:
             det = a1 * b2 - a2 * b1
             xn = c1 * b2 - c2 * b1
             yn = a1 * c2 - a2 * c1
-            if exact:
-                if det < 0:
-                    det, xn, yn = -det, -xn, -yn
-                if det and all(cl * xn + cm * yn <= rhs * det for cl, cm, rhs in lines):
-                    points.add((Fraction(xn, det), Fraction(yn, det)))
-            elif abs(det) > TIE_TOL:
-                x, y = xn / det, yn / det
-                if all(cl * x + cm * y <= rhs + TIE_TOL for cl, cm, rhs in lines):
-                    points.add((x, y))
+            if det < 0:
+                det, xn, yn = -det, -xn, -yn
+            if det and all(cl * xn + cm * yn <= rhs * det for cl, cm, rhs in lines):
+                points.add((Fraction(xn, det), Fraction(yn, det)))
     vertices = _hull_ccw(points)
     # Only the anti-plurality shape is unbounded: a direction (dl, dm) != 0 with
     # 0 <= dl <= dm stays inside every row only if all of w[1..m-1] equal 1,
     # and then dl is forced to 0 by the first row.
-    rays = ((zero, one),) if rule.has_unbounded_direction else ()
+    rays = ((Fraction(0), Fraction(1)),) if rule.has_unbounded_direction else ()
     assert len(vertices) <= m + 1, "a 2-D region cut by m+1 halfplanes has at most m+1 vertices"
-    return Polytope2D(m, vertices, rays, tuple(rows))
+    dens = [scale] * (m - 1) + [1, 1]
+    rows = tuple(tuple(Fraction(c, den) for c in line) for line, den in zip(lines, dens))
+    return Polytope2D(m, vertices, rays, rows)
 
 
 def sigma_scaled(poly: Polytope2D, rule: ScoreVector) -> tuple:
@@ -365,7 +354,9 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
 
     A recruit of stratum i buries a at the bottom with share r*u[c], keeps a
     where it was with share (1-r)*v[c], or (i = 1) votes sincerely with
-    share 1-r; see _exact_shares and _float_shares for r, u and v.
+    share 1-r; see _exact_shares for r, u and v.  Every input is read
+    exactly, floats too.  When one is a float, each amount is computed
+    exactly and rounded once, to a float, and is re-checked within 1e-7.
     """
     if inst.beta != inst.b:
         raise ValueError("the witness construction targets the runner-up")
@@ -374,21 +365,15 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
         raise ValueError(f"z needs m-1 = {m - 1} entries, got {len(z)}")
     exact = inst.rule.is_rational and all(map(_is_exact, inst.scores)) and all(map(_is_exact, z))
     others = [c for c in range(m) if c not in (inst.a, inst.b)]
-    if exact:
-        zs, sincere, ru, rv, v, den = _exact_shares(inst, z, others)
-    else:
-        z, sincere, ru, rv, v = _float_shares(inst, z, others)
-        zs = z
+    zs, sincere, ru, rv, v, den = _exact_shares(inst, z, others, exact)
 
     fact_small = math.factorial(max(m - 3, 0))
     fact_mid = math.factorial(m - 2)
 
-    def per(q, zi, fact):
-        if exact:  # an int over den * fact_mid, since fact divides fact_mid
-            return q * zi * (fact_mid // fact)
-        return q * zi / fact
+    def per(q, zi, fact):  # an int over den * fact_mid, since fact divides fact_mid
+        return q * zi * (fact_mid // fact)
 
-    # per-type amounts, each product formed once per (candidate, stratum), left to right
+    # per-type amounts, each product formed once per (candidate, stratum)
     bury = {(c, i): per(ru[c], zs[i - 1], fact_small) for c in others for i in range(1, m - 1)}
     keep = {(c, i): per(rv[c], zs[i - 1], fact_small) for c in others for i in range(2, m - 1)}
     top = per(sincere, zs[0], fact_mid)
@@ -415,49 +400,59 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
         elif zs[p - 1]:
             y[t] = top if p == 1 else keep[t[p - 1], p]
 
-    def entries(table):
-        return {t: Fraction(amt, den * fact_mid) if exact else amt
+    def entries(table):  # int / int rounds once, also past 2**53
+        return {t: Fraction(amt, den * fact_mid) if exact else amt / (den * fact_mid)
                 for t, amt in table.items() if amt != 0}
 
     plan = CoalitionPlan(x=entries(x), y=entries(y))
-    check_tol = 0 if exact else 1e-7
-    issues = verify_stratified_plan(inst, plan, z=z, tol=check_tol)
+    issues = verify_stratified_plan(inst, plan, z=z, tol=0 if exact else 1e-7)
     if issues:
         raise ConstructionFailed("; ".join(issues))
     return plan
 
 
-def _exact_shares(inst, z, others):
-    """(zs, 1-r, r*u, (1-r)*v, v, den) of exact inputs, every one an int.
+def _exact_shares(inst, z, others, exact):
+    """(zs, 1-r, r*u, (1-r)*v, v, den), every one an int.
 
     zs are z's numerators over dz.  The scores, their mean, A, B, the
     target r*A and caps_rhs are numerators over G = m * sden * dz * S, with
     sden the scores' common denominator and S the weights'; r is rn / rd, u
     is un / ud and v is vn / (ud * k).  The four shares are numerators over
     rd * ud * k, and den is that times dz: an amount q * zs[j] is over den.
+
+    Floats are read exactly.  When an input is one (exact is False), a z
+    entry down to -1e-9 counts as 0, the rows may miss by 1e-8 in score
+    units and r is clamped to [0, 1]: float arithmetic left them that slack.
     """
     m = inst.m
+    scores, ztol, rowtol = inst.scores, 0, 0
+    if not exact:  # every float is a dyadic rational: Fraction(x) loses nothing
+        z, scores = [*map(Fraction, z)], [*map(Fraction, scores)]
+        ztol, rowtol = Fraction(1, 10**9), Fraction(1, 10**8)
     dz = math.lcm(*(zi.denominator for zi in z))
     zs = [zi.numerator * (dz // zi.denominator) for zi in z]
-    if any(zi < 0 for zi in zs):
+    if any(zi < -ztol * dz for zi in zs):
         raise ZInfeasible("negative recruitment total")
+    zs = [max(zi, 0) for zi in zs]
     scale, ints = integer_weights(inst.rule)
-    sden = math.lcm(*(s.denominator for s in inst.scores))
-    lead = [s.numerator * (sden // s.denominator) for s in inst.scores]
+    sden = math.lcm(*(s.denominator for s in scores))
+    lead = [s.numerator * (sden // s.denominator) for s in scores]
     unit = m * dz * scale  # a numerator over sden, times unit, is over G
     a_s, b_s = lead[inst.a] * unit, lead[inst.b] * unit
     mean = sum(lead) * dz * scale
     A = sum(zj * wj for zj, wj in zip(zs, ints[1:])) * m * sden
     B = sum(zj * (scale - wj) for zj, wj in zip(zs, ints)) * m * sden
-    if A + B < a_s - b_s:
+    slack = rowtol * m * sden * dz * scale
+    if A + B < a_s - b_s - slack:
         raise ZInfeasible("z misses the catch-up row")
-    if B < mean - b_s:
+    if B < mean - b_s - slack:
         raise ZInfeasible("z misses the lift row")
 
     # r in [0,1] with |a|-|b|-B <= r*A <= (m-1)(|b|+B-mean) + (|a|-mean), so r*A is rn / G.
     # Exact rows leave both upper bounds slack: the catch-up row keeps |a|-|b|-B <= A, and
-    # the second bound exceeds |a|-|b|-B by m*(B - (mean-|b|)) >= 0 on the lift row.
-    rn, rd = (max(a_s - b_s - B, 0), A) if A > 0 else (0, 1)
+    # the second bound exceeds |a|-|b|-B by m*(B - (mean-|b|)) >= 0 on the lift row.  Rows
+    # met only within the float slack can put |a|-|b|-B past A: r is then clamped at 1.
+    rn, rd = (min(max(a_s - b_s - B, 0), A), A) if A > 0 else (0, 1)
 
     if m == 3:
         k, ud, un, vn = 1, 1, {others[0]: 1}, {others[0]: 1}  # u = v = 1
@@ -475,49 +470,3 @@ def _exact_shares(inst, z, others):
     rv = {c: (rd - rn) * vn[c] for c in others}
     v = {c: rd * vn[c] for c in others}
     return zs, (rd - rn) * ud * k, ru, rv, v, rd * ud * k * dz
-
-
-def _float_shares(inst, z, others):
-    """(z, 1-r, r*u, (1-r)*v, v) in floats, with z clamped at 0 and the rows tested within 1e-9."""
-    m = inst.m
-    w = inst.rule.weights
-    tol = 1e-9
-    z = [float(zi) for zi in z]
-    if any(zi < -tol for zi in z):
-        raise ZInfeasible("negative recruitment total")
-    z = [max(zi, 0.0) for zi in z]
-    a_s = float(inst.scores[inst.a])
-    b_s = float(inst.scores[inst.b])
-    mean = float(inst.mean_score)
-    A = sum(z[j] * float(w[j + 1]) for j in range(m - 1))
-    B = sum(z[j] * (1 - float(w[j])) for j in range(m - 1))
-    if A + B < a_s - b_s - tol * 10:
-        raise ZInfeasible("z misses the catch-up row")
-    if B < mean - b_s - tol * 10:
-        raise ZInfeasible("z misses the lift row")
-
-    # r in [0,1] with |a|-|b|-B <= r*A <= (m-1)(|b|+B-mean) + (|a|-mean).
-    upper = (m - 1) * (b_s + B - mean) + (a_s - mean)
-    if A > 0:
-        target = max(0.0, a_s - b_s - B)
-        target = min(target, A, upper)
-        r = target / A
-        r = min(max(r, 0.0), 1.0)
-    else:
-        r = 0.0
-
-    if m == 3:
-        u = {others[0]: 1.0}
-        v = {others[0]: 1.0}
-    else:
-        denom = r * A + B / (m - 3)
-        share = Fraction(m - 2, m - 3) * B
-        caps_rhs = {al: b_s - float(inst.scores[al]) + share for al in others}
-        if denom <= tol:
-            u = {al: 1.0 / (m - 2) for al in others}
-        else:
-            caps = {al: caps_rhs[al] / denom for al in others}
-            total = sum(caps.values())
-            u = {al: caps[al] / total for al in others}
-        v = {al: (1 - u[al]) / (m - 3) for al in others}
-    return z, 1 - r, {c: r * u[c] for c in others}, {c: (1 - r) * v[c] for c in others}, v

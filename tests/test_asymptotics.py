@@ -44,6 +44,22 @@ def test_limit_model_shapes():
     assert easy.c_w == pytest.approx(math.sqrt((1 - 0.75 + 0.5625) / (3 * 0.5625)))
 
 
+def test_float_borda_has_the_exact_borda_limit():
+    """Borda at m = 4 written in floats reads its weights exactly: one diagonal dot, Borda's c_w."""
+    rule = normalize((3.0, 2.0, 1.0, 0.0))
+    model = limit_model(rule)
+    assert len(model.dots) == 1 and model.dots[0][0] == model.dots[0][1]
+    assert model.c_w is not None and abs(model.c_w - limit_model(borda(4)).c_w) <= 1e-15
+    assert dominates(rule, plurality(4)).method == "analytic-coefficient"
+
+
+def test_float_coefficient_form_rule_keeps_its_c_w():
+    """(1.0, 0.6, 0.2, 0.0): its diagonal is compared with its dots in one exact arithmetic."""
+    model = limit_model(normalize((1.0, 0.6, 0.2, 0.0)))
+    exact = limit_model(normalize((1, Fraction(3, 5), Fraction(1, 5), 0)))
+    assert exact.c_w is not None and model.c_w == pytest.approx(exact.c_w, rel=1e-15)
+
+
 def test_vw_examples():
     m = limit_model(borda(3))
     assert vw_from_z(m, [1, 0, -1]) == pytest.approx(1.0)

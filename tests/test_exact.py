@@ -713,7 +713,8 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
 
     Score rows, coalition programs and polytope are each rule's own, whichever
     comes first.  A float rule never reads the certificates a rational q3
-    stored, and stores none.
+    stored, and stores none.  Its polytope reads its weights exactly: the
+    same Fractions as the rational rule's, in an object of its own.
     """
     solved, answered = [], []
     real_solve, real_answer = lp.solve, exact._answer
@@ -753,8 +754,10 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
                     exact._integer_tables(inst)
             poly = mw_polytope(rule)
             assert mw_polytope(rule) is poly
-            assert {type(c) for point in (*poly.vertices, *poly.rows) for c in point} == {kind}
-            assert {type(c) for point in cone_optimal_vertices(poly) for c in point} == {kind}
+            assert {type(c) for point in (*poly.vertices, *poly.rows) for c in point} == {Fraction}
+            assert {type(c) for point in cone_optimal_vertices(poly) for c in point} == {Fraction}
+        assert mw_polytope(rational) is not mw_polytope(floating)
+        assert repr(mw_polytope(rational)) == repr(mw_polytope(floating))
 
 
 def test_rule_tables_leave_the_rule_as_it_was():
@@ -766,9 +769,9 @@ def test_rule_tables_leave_the_rule_as_it_was():
         inst = ManipulationInstance.from_profile(profile, rule)
         q3(inst)
         poly = mw_polytope(rule)
-        built = {"type_scores", "mw_polytope"}
+        built = {"integer_weights", "type_scores", "mw_polytope"}
         if rule.is_rational:
-            built |= {"integer_weights", "_packed_rows", "_lp_columns", "_canonical_lp"}
+            built |= {"_packed_rows", "_lp_columns", "_canonical_lp"}
         assert _tables_of(rule) == built
         assert (repr(rule), hash(rule)) == before and rule == normalize(rule.weights)
         assert [f.name for f in dataclasses.fields(rule)] == ["weights"]

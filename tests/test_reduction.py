@@ -256,38 +256,50 @@ def test_witness_on_synthetic_scoreboards():
             assert plan.size == value
 
 
-PINNED_WITNESSES = (192, "c859c1e2d5cfa8b238052146d744e37fe3ec1bfcba66d2355fbc1dfe3969bd18")
+PINNED_WITNESSES = {
+    "rational": (156, "83b40091a21e2749b099084c7aeb59ea8ac443da69eaabce2985d5adc12db545"),
+    "float": (36, "4e2a7a73877cfcc7a8800d482178150bcd55920c47a2bce53f9408927271fa63"),
+}
+
+
+def _digests(items):
+    """{kind: (count, sha256)} of (rule, text) items, rational and float rules apart."""
+    digests, counts = {}, {}
+    for rule, text in items:
+        kind = "rational" if rule.is_rational else "float"
+        digests.setdefault(kind, hashlib.sha256()).update(text.encode())
+        counts[kind] = counts.get(kind, 0) + 1
+    return {kind: (counts[kind], digest.hexdigest()) for kind, digest in digests.items()}
 
 
 def test_witness_plans_are_pinned():
-    """repr of every witness_from_z plan over an IC corpus, hashed.
+    """repr of every witness_from_z plan over an IC corpus, hashed per kind of rule.
 
-    The digest was recorded while each per-type amount was its own product,
-    before those products were formed once per (candidate, stratum): exact
-    plans must stay the same Fractions and float plans the same floats, bit
-    for bit.  z is q_stratified's optimum and, to leave the vertex, that
-    optimum times 3/2 and that optimum plus 1 in every stratum.  The last
-    stays feasible, since no row coefficient is negative, and fills every
-    stratum, so a float amount summed over three or more strata pins the
-    order of its additions.
+    The rational digest was taken from the last code with a float
+    construction of its own, whose plans matched a digest recorded while each
+    per-type amount was its own product: exact plans must stay the same
+    Fractions, bit for bit.  The float digest pins the float plans of the
+    exact construction, each amount rounded once.  z is
+    q_stratified's optimum and, to leave the vertex, that optimum times 3/2
+    and that optimum plus 1 in every stratum.  The last stays feasible, since
+    no row coefficient is negative, and fills every stratum.
     """
-    digest = hashlib.sha256()
-    count = 0
-    for m in (3, 4, 5, 6):
-        for n, i in ((50, 0), (1000, 0), (1000, 1)):
-            profile = sample_ic(n, m, (53, m, n, i))
-            for rule in _pinned_rules(m):
-                board = scoreboard(profile, rule)
-                if not top_two(board)[2]:
-                    continue
-                inst = ManipulationInstance.from_profile(profile, rule)
-                _, z = q_stratified(MarginPair.from_scoreboard(board), rule)
-                zs_list = () if z is None else (z, [zi * 3 / 2 for zi in z], [zi + 1 for zi in z])
-                for zs in zs_list:
-                    plan = witness_from_z(inst, zs)
-                    digest.update(repr((sorted(plan.x.items()), sorted(plan.y.items()))).encode())
-                    count += 1
-    assert (count, digest.hexdigest()) == PINNED_WITNESSES
+    def plans():
+        for m in (3, 4, 5, 6):
+            for n, i in ((50, 0), (1000, 0), (1000, 1)):
+                profile = sample_ic(n, m, (53, m, n, i))
+                for rule in _pinned_rules(m):
+                    board = scoreboard(profile, rule)
+                    if not top_two(board)[2]:
+                        continue
+                    inst = ManipulationInstance.from_profile(profile, rule)
+                    _, z = q_stratified(MarginPair.from_scoreboard(board), rule)
+                    zs_list = () if z is None else (z, [zi * 3 / 2 for zi in z], [zi + 1 for zi in z])
+                    for zs in zs_list:
+                        plan = witness_from_z(inst, zs)
+                        yield rule, repr((sorted(plan.x.items()), sorted(plan.y.items())))
+
+    assert _digests(plans()) == PINNED_WITNESSES
 
 
 def _random_rational_rule(rng, m):
@@ -314,23 +326,28 @@ def _polytope_rules():
     return rules
 
 
-PINNED_POLYTOPES = (207, "72810b467e8c03d64e3d0195aaa081a79ef1c8484f30a5881a78bd9798421eb5")
+PINNED_POLYTOPES = {
+    "rational": (185, "a5a11daa371a8f1ee39182080cab5650f5b82deb7ce6459ec477b248e4250bea"),
+    "float": (22, "91bac9e6f3274b80363fada7468c3417d5982d0e22636e2bdf281f0f29700ee6"),
+}
 
 
 def test_polytope_geometry_is_pinned():
-    """repr of every rule's vertices, rays, rows and cone-optimal vertices, hashed.
+    """repr of every rule's vertices, rays, rows and cone-optimal vertices, hashed per kind of rule.
 
-    Recorded while mw_polytope intersected its rows in Fractions and
-    cone_optimal_vertices converted each vertex difference to a Fraction: the exact
-    geometry must stay the same Fractions and the float geometry the same
-    floats, bit for bit.
+    The rational digest was taken from the last code with a float geometry
+    of its own, whose geometry matched a digest recorded while mw_polytope
+    intersected its rows in Fractions and cone_optimal_vertices converted
+    each vertex difference to a Fraction: the exact geometry must stay the
+    same Fractions, bit for bit.  The float digest pins the exact geometry of
+    the float rules' weights.
     """
-    digest = hashlib.sha256()
-    rules = _polytope_rules()
-    for rule in rules:
-        poly = mw_polytope(rule)
-        digest.update(repr((poly.vertices, poly.rays, poly.rows, cone_optimal_vertices(poly))).encode())
-    assert (len(rules), digest.hexdigest()) == PINNED_POLYTOPES
+    def geometry():
+        for rule in _polytope_rules():
+            poly = mw_polytope(rule)
+            yield rule, repr((poly.vertices, poly.rays, poly.rows, cone_optimal_vertices(poly)))
+
+    assert _digests(geometry()) == PINNED_POLYTOPES
 
 
 def test_cached_polytopes_match_fresh_builds():
@@ -348,21 +365,30 @@ def test_cached_polytopes_match_fresh_builds():
 
 @pytest.mark.parametrize("first", ["float", "fraction"])
 def test_polytope_cache_keeps_float_and_rational_rules_apart(first):
-    """(1, 0.5, 0) == (1, 1/2, 0) and both hash alike, yet each keeps its own arithmetic.
+    """(1, 0.5, 0) == (1, 1/2, 0) and both hash alike: equal exact polytopes, each its own object.
 
     Whichever rule is built first, the other builds its own polytope: the
-    tables live on the rule object, not under its weights.
+    tables live on the rule object, not under its weights.  The float rule's
+    weights are read exactly, so both polytopes are the same Fractions.
     """
     rules = {"float": ScoreVector((1, 0.5, 0)), "fraction": ScoreVector((1, Fraction(1, 2), 0))}
     assert rules["float"] == rules["fraction"] and hash(rules["float"]) == hash(rules["fraction"])
     polys = {key: mw_polytope(rules[key]) for key in sorted(rules, key=lambda key: key != first)}
-    kinds = {key: {type(c) for point in (*poly.vertices, *poly.rows) for c in point}
-             for key, poly in polys.items()}
-    assert kinds == {"float": {float}, "fraction": {Fraction}}
+    assert polys["float"] is not polys["fraction"]
+    assert repr(polys["float"]) == repr(polys["fraction"])
     for key, poly in polys.items():
         assert mw_polytope(rules[key]) is poly
-        dots = cone_optimal_vertices(poly)
-        assert {type(c) for point in dots for c in point} == kinds[key]
+        points = (*poly.vertices, *poly.rows, *cone_optimal_vertices(poly))
+        assert {type(c) for point in points for c in point} == {Fraction}
+
+
+def test_float_rules_have_the_exact_polytope_of_their_weights():
+    """A seeded random float rule's polytope is that of its weights read as Fractions."""
+    for m in range(3, 9):
+        rng = random.Random(f"float-polytope-{m}")
+        for _ in range(20):
+            rule = normalize(sorted((rng.random() for _ in range(m)), reverse=True))
+            assert mw_polytope(rule) == mw_polytope(normalize([Fraction(w) for w in rule.weights]))
 
 
 @given(m=st.integers(3, 8), data=st.data())
@@ -485,6 +511,24 @@ def test_witness_rows_are_checked_exactly():
         witness_from_z(inst, (5, 1))
     with pytest.raises(ZInfeasible, match="negative"):
         witness_from_z(inst, (9, Fraction(-1, 7)))
+
+
+def test_witness_reads_float_inputs_exactly():
+    """A float z is read exactly, each amount rounded once; its rows and signs get float slack."""
+    inst = ManipulationInstance.from_scores(borda(3), (10, 7, 6))  # A + B >= 3 and B >= 2/3
+    exact = witness_from_z(inst, (5, Fraction(4, 3)))
+    plan = witness_from_z(inst, (5.0, 4 / 3))
+    for got, want in ((plan.x, exact.x), (plan.y, exact.y)):
+        assert got.keys() == want.keys() and {type(a) for a in got.values()} == {float}
+        assert all(got[t] == pytest.approx(want[t], rel=1e-15) for t in got)
+    short = 2 - 1e-9  # within the 1e-8 slack of both rows; exactly, it misses them
+    plan = witness_from_z(inst, (4.0, short))
+    assert verify_stratified_plan(inst, plan, (4, short), tol=1e-7) == []
+    with pytest.raises(ZInfeasible, match="misses"):
+        witness_from_z(inst, (4, Fraction(short)))
+    assert witness_from_z(inst, (-1e-10, 6.0)).x.keys() == witness_from_z(inst, (0, 6)).x.keys()
+    with pytest.raises(ZInfeasible, match="negative"):
+        witness_from_z(inst, (-1e-8, 6.0))
 
 
 def test_witness_needs_runner_up_target():
