@@ -100,8 +100,9 @@ class ScoreVector:
 
     @property
     def has_unbounded_direction(self) -> bool:
-        """True when the second-to-last weight is 1 (the anti-plurality shape)."""
-        return _close(self.weights[-2], 1)
+        """True when the second-to-last weight is 1 (the anti-plurality shape), read exactly."""
+        scale, ints = integer_weights(self)
+        return ints[-2] == scale
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(w) for w in self.weights) + ")"
@@ -310,7 +311,7 @@ class Scoreboard:
     @property
     def order(self) -> tuple:
         """Candidates sorted by score, best first; ties broken by candidate index."""
-        return tuple(sorted(range(self.m), key=lambda c: (-self.scores[c], c)))
+        return tuple(sorted(range(self.m), key=self.scores.__getitem__, reverse=True))
 
     @property
     def mean(self):

@@ -8,7 +8,7 @@ candidate's.
 
 Three routes to a value live here:
 
-* q1 / mcs_exact: exhaustive integer search (the ground truth, m <= 4);
+* q1 / mcs_exact: exhaustive integer search (the ground truth, m <= 5);
 * q2 / q3: the LP relaxations with shrunk or dropped recruitment bounds;
 * q_program2: the LP over the adjacent strata of the runner-up only.
 
@@ -37,15 +37,23 @@ depends on what is stored or on the order of calls.  The program, its columns
 and its certificates are built once per rule object and freed with it.
 Float rules, exact weights with float scores, and q2 solve as before.
 
-The search tries coalition sizes k upward from ceil(q3).  At each k it walks
-recruit multisets depth first and, at each leaf, looks for k target-first
-ballots that fit every candidate's cap.  Every node checks a score bound
-first: if even the most helpful recruits still to come, followed by the
-least loading ballots, leave some candidate (or all of them together) over
-their cap, the subtree is cut.  Only subtrees without a working leaf are
-cut, so the plan found is the one the uncut search finds, in far fewer
-nodes.  A search that still exceeds NODE_BUDGET raises InstanceTooLarge
-naming the target, the size, and the nodes and seconds spent.
+The search tries coalition sizes k upward from ceil(q3).  It reads a type
+only through its score row, so types with equal rows are interchangeable
+(Margot, "Symmetry in integer linear programming", 2010): it recruits from
+score classes, one per distinct row with the members' counts summed, and
+casts one ballot per distinct row (_score_classes, built once per rule for
+each (a, beta) and ballot set).  At each k it walks class multisets depth
+first and, at each leaf, looks for k target-first ballots that fit every
+candidate's cap.  Every node checks a score bound first: if even the most
+helpful recruits still to come, followed by the least loading ballots,
+leave some candidate (or all of them together) over their cap, the subtree
+is cut.  Only subtrees without a working leaf are cut, so the plan found is
+the one the uncut search finds, in far fewer nodes.  The plan is spread back
+over types the way a walk type by type, smaller takes first, loads equal
+rows: a class's take goes to its members from the last one back, each up to
+its count, and a ballot row is cast as the last allowed type holding it.  A
+search that still exceeds NODE_BUDGET raises InstanceTooLarge naming the
+target, the size, and the nodes and seconds spent.
 """
 
 from __future__ import annotations
@@ -65,7 +73,6 @@ from .election import (
     Scoreboard,
     _is_exact,
     _type_maps,
-    all_rankings,
     per_rule,
     scoreboard,
     top_two,
@@ -81,7 +88,7 @@ class InstanceTooLarge(Exception):
     pass
 
 
-MAX_EXACT_M = 4
+MAX_EXACT_M = 5
 NODE_BUDGET = 10_000_000
 
 
@@ -344,6 +351,29 @@ def _lp_columns(rule, a, beta):
     return tuple(recruits.values()), tuple(ballots.values())
 
 
+@per_rule
+def _score_classes(rule, a, beta, unrestricted):
+    """(classes, ballots): the exact search's recruits and ballots for (a, beta), one per score row.
+
+    The search reads a type only through its score row, so types with equal
+    rows are interchangeable.  classes maps the first type of each distinct
+    row among those ranking beta above a to (types, indices): every type
+    with that row and its index, in all_rankings order; classes go in the
+    order of their first types.
+    ballots holds, of each distinct row among the types ranking beta first
+    (every type when unrestricted), the last type holding it, in that order.
+    """
+    ranks = _type_maps(rule.m)[0]
+    rows = type_scores(rule)[1]
+    pref, first, _, _ = _type_sets(rule.m, a, beta, beta)
+    members = {}
+    for t in pref:
+        members.setdefault(rows[t], []).append(t)
+    classes = {types[0]: (tuple(types), tuple(map(ranks.get, types))) for types in members.values()}
+    last = {rows[t]: t for t in (ranks if unrestricted else first)}
+    return classes, tuple(sorted(last.values(), key=ranks.get))
+
+
 def _lp_value(program: lp.LinearProgram):
     return _solved(program).value  # inf when infeasible
 
@@ -538,7 +568,7 @@ def _integer_tables(inst):
     if not inst.rule.is_rational:
         raise ValueError("the exact search needs a rational rule")
     scale, sig = type_scores(inst.rule)
-    base = [int(Fraction(s) * scale) for s in inst.scores]
+    base = [s.numerator * scale // s.denominator for s in inst.scores]
     return scale, sig, base
 
 
@@ -669,13 +699,14 @@ def _search(inst, lower, kmax, budget, strict_win, unrestricted):
     if lower is math.inf:
         return None
     scale, sig, base = _integer_tables(inst)
-    pref = set(inst.pref_types)
-    pool = [(t, c) for t, c in zip(all_rankings(inst.m), inst.profile.counts) if c and t in pref]
+    classes, ballots = _score_classes(inst.rule, inst.a, inst.beta, unrestricted)
+    counts = inst.profile.counts
+    pool = [(rep, avail) for rep, (_, indices) in classes.items()
+            if (avail := sum(map(counts.__getitem__, indices)))]
     if not pool:
         return None
     capacity = sum(c for _, c in pool)
     kmax = min(kmax, capacity)
-    ballots = all_rankings(inst.m) if unrestricted else inst.first_types
     tables = _bound_tables(pool, ballots, sig, inst.beta, inst.m)
     start = max(1, math.ceil(lower))
     left = budget.left
@@ -690,8 +721,21 @@ def _search(inst, lower, kmax, budget, strict_win, unrestricted):
                 f"({left} nodes spent on this target, {perf_counter() - budget.start:.1f} s in all)"
             ) from None
         if plan is not None:
-            return k, plan
+            return k, CoalitionPlan(_spread(plan.x, classes, counts), plan.y)
     return None
+
+
+def _spread(takes, classes, counts):
+    """x by type: a class's take goes to its members, last one first, each up to its count."""
+    x = {}
+    for rep, take in takes.items():
+        types, indices = classes[rep]
+        for t, i in zip(reversed(types), reversed(indices)):
+            part = min(take, counts[i])
+            if part:
+                x[t] = part
+                take -= part
+    return x
 
 
 def q1(inst: ManipulationInstance, *, strict_win=False, unrestricted=False):

@@ -503,9 +503,9 @@ def test_strict_win_needs_no_fewer_voters():
 def test_guards():
     with pytest.raises(NotStrictWinner):
         mcs_exact(Profile.from_counts(3, {(0, 1, 2): 1, (1, 0, 2): 1}), plurality(3))
-    big = Profile.from_counts(5, {(0, 1, 2, 3, 4): 2, (1, 0, 2, 3, 4): 1})
+    big = Profile.from_counts(6, {(0, 1, 2, 3, 4, 5): 2, (1, 0, 2, 3, 4, 5): 1})
     with pytest.raises(InstanceTooLarge):
-        mcs_exact(big, borda(5))
+        mcs_exact(big, borda(6))
     with pytest.raises(ValueError):
         q_program2_from_instance(
             ManipulationInstance.from_profile(PLURALITY_TINY, plurality(3), beta=2)
@@ -577,15 +577,19 @@ PINNED_RULES = {
 # Strict searches that spent the whole 10M-node budget (13-23 s each) before the
 # recruit search cut subtrees by score bounds: (n, i, rule, target) with target
 # None for mcs_outcome.  test_budget_limited_search_matches_milp checks them.
-UNPINNED = {(50, 1, "antiplurality", None), (50, 2, "antiplurality", None),
-            (200, 1, "approval:2", None), (200, 3, "antiplurality", None),
-            (20, 0, "antiplurality", 0), (20, 0, "antiplurality", 2),
-            (20, 1, "antiplurality", 1)}
-PINNED_SEARCHES = (653, "66f9059370ffe93b96e4608b77a22ced18676cfed3c5afd4474fc04b3122d799")
+SLOW_STRICT = {(50, 1, "antiplurality", None), (50, 2, "antiplurality", None),
+               (200, 1, "approval:2", None), (200, 3, "antiplurality", None),
+               (20, 0, "antiplurality", 0), (20, 0, "antiplurality", 2),
+               (20, 1, "antiplurality", 1)}
+PINNED_SEARCH_VALUES = (660, "4cf119c833f0de049d60e9777cf238e0ff66bbd079b38d3c79ffaf24f050a308")
+PINNED_SEARCH_WITNESSES = (292, "c5983cf17c44e9661c8446db9794d4eab65676c90604ca19b86d51f6cd6be41b")
 
 
 def _pinned_searches():
-    """repr of each pinned search result, in a fixed order."""
+    """(value record, witness record or None) of each pinned search, in a fixed order.
+
+    Every mcs_outcome witness is checked by verify_integral_plan on the way.
+    """
     for m in (3, 4):
         for n in (7, 20, 50, 200):
             for i in range(4):
@@ -593,16 +597,18 @@ def _pinned_searches():
                 for text in PINNED_RULES[m]:
                     rule = parse_rule(text, m)
                     for strict in (False, True):
-                        if strict and m == 4 and (n, i, text, None) in UNPINNED:
-                            continue
                         try:
                             out = mcs_outcome(profile, rule, strict_win=strict)
                         except NotStrictWinner:
-                            yield repr(("tie", m, n, i, text))
+                            yield repr(("tie", m, n, i, text)), None
                             continue
-                        plan = (None, None) if out.plan is None else (
-                            sorted(out.plan.x.items()), sorted(out.plan.y.items()))
-                        yield repr((out.value, out.target) + plan)
+                        plan = (None, None)
+                        if out.plan is not None:
+                            inst = ManipulationInstance.from_profile(profile, rule, out.target)
+                            assert verify_integral_plan(inst, out.plan) == []
+                            assert out.plan.size == out.value
+                            plan = sorted(out.plan.x.items()), sorted(out.plan.y.items())
+                        yield repr((out.value, out.target)), repr(plan)
                     board = scoreboard(profile, rule)
                     a, b, strict = top_two(board)
                     if n > 20 or not strict:
@@ -611,28 +617,30 @@ def _pinned_searches():
                         if beta == a:
                             continue
                         inst = ManipulationInstance._build(rule, board.scores, a, b, beta, profile)
-                        yield repr(q1(inst, unrestricted=True))
-                        if m < 4 or (n, i, text, beta) not in UNPINNED:
-                            yield repr(q1(inst, strict_win=True, unrestricted=True))
+                        yield repr(q1(inst, unrestricted=True)), None
+                        yield repr(q1(inst, strict_win=True, unrestricted=True)), None
 
 
 def test_search_results_are_pinned():
-    """Every mcs_outcome (value, target, witness) and unrestricted q1 of a corpus, hashed.
+    """Every mcs_outcome (value, target) and witness and unrestricted q1 of a corpus, hashed.
 
     Corpus: sample_ic(n, m, (31, n, i)) for m = 3, 4, n in {7, 20, 50, 200}
     and i < 4, five rules each; mcs_outcome weak and strict, and for n <= 20
-    q1(unrestricted=True) weak and strict per target.  The digest was
-    recorded before the recruit search cut subtrees by score bounds, so it
-    pins the witness each size's search finds first, not only the values.
-    The UNPINNED strict inputs are left out because that search could not
-    finish them; test_budget_limited_search_matches_milp covers them.
+    q1(unrestricted=True) weak and strict per target.  The values and targets
+    were recorded while the search walked one type at a time, the SLOW_STRICT
+    inputs included, and hold unchanged over score classes.  The witnesses
+    are pinned apart: they are the first plan each size's search finds.
     """
-    digest = hashlib.sha256()
-    count = 0
-    for record in _pinned_searches():
-        digest.update(record.encode() + b"\n")
-        count += 1
-    assert (count, digest.hexdigest()) == PINNED_SEARCHES
+    values, witnesses = hashlib.sha256(), hashlib.sha256()
+    counts = [0, 0]
+    for value, witness in _pinned_searches():
+        values.update(value.encode() + b"\n")
+        counts[0] += 1
+        if witness is not None:
+            witnesses.update(witness.encode() + b"\n")
+            counts[1] += 1
+    assert (counts[0], values.hexdigest()) == PINNED_SEARCH_VALUES
+    assert (counts[1], witnesses.hexdigest()) == PINNED_SEARCH_WITNESSES
 
 
 def _milp_cases():
@@ -641,7 +649,7 @@ def _milp_cases():
     for i, text in ((3, "approval:2"), (3, "borda"), (3, "weights:1,1,1/2,0"),
                     (7, "weights:1,1,1/2,0")):
         yield sample_ic(1000, 4, (9, 1000, i)), text, False, None
-    for n, i, text, target in sorted(UNPINNED, key=repr):
+    for n, i, text, target in sorted(SLOW_STRICT, key=repr):
         yield sample_ic(n, 4, (31, n, i)), text, True, target
     rng = random.Random(37)
     for i in range(20):
@@ -677,6 +685,40 @@ def test_budget_limited_search_matches_milp(monkeypatch):
         assert got == want, (profile.n, text, strict, target)
         values.append(got)
     assert values[:4] == [24, 31, 23, 23]
+
+
+def test_strict_antiplurality_search_is_small(monkeypatch):
+    """Over score classes the costliest SLOW_STRICT input needs a few hundred nodes, not ~89,000."""
+    monkeypatch.setattr(exact, "NODE_BUDGET", 1_000)
+    profile, rule = sample_ic(200, 4, (31, 200, 3)), antiplurality(4)
+    out = mcs_outcome(profile, rule, strict_win=True)
+    assert (out.value, out.target) == (16, 2) and out.plan.size == 16
+    assert verify_integral_plan(ManipulationInstance.from_profile(profile, rule, 2), out.plan) == []
+
+
+def test_m5_search_matches_milp(monkeypatch):
+    """A slice of the seed-9 m = 5 corpus, weak and strict, equals program (1)'s milp optimum.
+
+    Its first job, antiplurality on sample_ic(1000, 5, (9, 1000, 0)), spent
+    the whole 10M-node budget at its answer size, 31, before the search
+    pooled interchangeable types; it now takes about 2,000 nodes.
+    """
+    monkeypatch.setattr(exact, "NODE_BUDGET", 20_000)
+    values = []
+    for n, i in ((1000, 0), (1000, 3), (200, 1), (50, 2)):
+        profile = sample_ic(n, 5, (9, n, i))
+        for text in ("antiplurality", "plurality", "borda", "approval:2"):
+            rule = parse_rule(text, 5)
+            if not top_two(scoreboard(profile, rule))[2]:
+                continue
+            for strict in (False, True):
+                out = mcs_outcome(profile, rule, strict_win=strict)
+                assert out.value == milp_mcs(profile, rule, strict), (n, i, text, strict)
+                if out.plan is not None:
+                    inst = ManipulationInstance.from_profile(profile, rule, out.target)
+                    assert verify_integral_plan(inst, out.plan) == [] and out.plan.size == out.value
+                values.append(out.value)
+    assert values[:2] == [31, math.inf]
 
 
 def test_budget_error_says_how_far_the_search_got(monkeypatch, tmp_path, capsys):

@@ -16,7 +16,7 @@ from coalition_lp.exact import (
 )
 from coalition_lp.reduction import (
     ConstructionFailed, MarginPair, ParamOutOfRange, Polytope2D, UnknownFamily,
-    ZInfeasible, _cone_optimal_vertices, closed_form_q, cone_optimal_vertices,
+    ZInfeasible, _cone_optimal_vertices, closed_form_q, cone_optimal_vertices, k_constant,
     mw_polytope, optimal_vertex_set, q_dual, q_stratified, sigma_scaled, witness_from_z,
 )
 from oracles import polytope_vertices
@@ -42,6 +42,17 @@ def test_antiplurality_polytope_has_ray():
     poly = mw_polytope(antiplurality(4))
     assert poly.rays == ((0, 1),)
     assert set(poly.vertices) == {(0, 0), (1, 1)}
+
+
+def test_near_antiplurality_float_rule_has_no_ray():
+    """w[-2] just below 1 is read exactly: the region is bounded, so the dual stays finite."""
+    rule = normalize((1.0, 1 - 1e-10, 0.0))
+    assert not rule.has_unbounded_direction and normalize((1.0, 1.0, 0.0)).has_unbounded_direction
+    poly = mw_polytope(rule)
+    assert poly.rays == ()
+    value = q_dual(MarginPair(3.0, 0.5), poly)
+    assert math.isfinite(value) and value == pytest.approx(5.0e9, rel=1e-6)
+    assert math.isfinite(k_constant(rule))
 
 
 def test_figure_dot_coordinates():
