@@ -59,7 +59,7 @@ def limit_model(rule: ScoreVector) -> LimitModel:
     w = rule.weights  # read exactly, floats too, as mw_polytope reads them
     coefs = [1 - Fraction(w[i]) + Fraction(w[i + 1]) for i in range(m - 1)]
     b_w = 1 / max(coefs)
-    diag_sq = Fraction(rule.variance) * Fraction(m, m - 1) * b_w * b_w
+    diag_sq = rule.variance * Fraction(m, m - 1) * b_w * b_w
     scale = math.sqrt(float(rule.variance) * m / (m - 1))
     dots = cone_optimal_vertices(poly)
     diag = (b_w, b_w)

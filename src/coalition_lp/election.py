@@ -7,9 +7,9 @@ ranking of all candidates, best first.  A positional rule assigns weight
 
 Arithmetic is exact (fractions.Fraction) whenever every weight is rational,
 which is the default for the named rules.  A rule given as floats has its
-weights read exactly by integer_weights for its geometry, witness and limit
-model; its scoreboards, ties and LP values stay float, with a tie tolerance
-of TIE_TOL.
+weights read exactly (integer_weights, type_scores, mean, variance) except on
+the routes that stay float: its scoreboard sums the float weights, its ties
+are tested to within TIE_TOL, and its LP values are float solves.
 """
 
 from __future__ import annotations
@@ -80,19 +80,13 @@ class ScoreVector:
         return all(_is_exact(w) for w in self.weights)
 
     @property
-    def mean(self):
-        if self.is_rational:
-            return sum((Fraction(w) for w in self.weights), Fraction(0)) / self.m
-        return sum(self.weights) / self.m
+    def mean(self) -> Fraction:
+        return sum(map(Fraction, self.weights), Fraction(0)) / self.m
 
     @property
-    def variance(self):
-        """Per-coordinate score variance: sum(w_i^2)/m - mean^2."""
-        if self.is_rational:
-            sq = Fraction(sum(Fraction(w) ** 2 for w in self.weights), self.m)
-        else:
-            sq = sum(w * w for w in self.weights) / self.m
-        return sq - self.mean**2
+    def variance(self) -> Fraction:
+        """Per-coordinate score variance: sum(w_i^2)/m - mean^2, floats read exactly."""
+        return Fraction(sum(Fraction(w) ** 2 for w in self.weights), self.m) - self.mean**2
 
     @property
     def sigma(self) -> float:
@@ -177,13 +171,13 @@ def parse_rule(text: str, m: int | None = None) -> ScoreVector:
     if text.startswith("weights:"):
         parts = text.split(":", 1)[1].split(",")
         weights = []
-        for part in parts:
+        for part in map(str.strip, parts):
             try:
-                weights.append(Fraction(part.strip()))
+                weights.append(Fraction(part))
             except ZeroDivisionError:
-                raise InvalidInput(f"weight {part.strip()!r} has a zero denominator") from None
+                raise InvalidInput(f"weight {part!r} has a zero denominator") from None
             except ValueError:
-                weights.append(float(part))
+                raise InvalidInput(f"weight {part!r} is not a number") from None
         if m is not None and len(weights) != m:
             raise ValueError(f"rule has {len(weights)} weights but m={m}")
         return normalize(weights)
@@ -353,9 +347,9 @@ def type_scores(rule: ScoreVector) -> tuple:
     """(scale, rows): rows[t][c] / scale is what one ballot of type t gives candidate c.
 
     rows maps every type, in all_rankings order, to ints over integer_weights'
-    scale for a rational rule and to the rule's own weights over 1 otherwise.
+    scale, for a rule given as floats too.
     """
-    scale, w = integer_weights(rule) if rule.is_rational else (1, rule.weights)
+    scale, w = integer_weights(rule)
     return scale, {t: tuple(w[p] for p in places) for t, places in _type_maps(rule.m)[1].items()}
 
 
@@ -379,7 +373,8 @@ def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
     """Candidate totals, summed over the types with a positive count.
 
     A rational rule's are one int sum of packed rows (_packed_rows), split
-    into its candidates' fields; a float rule's are added in type order.
+    into its candidates' fields; a float rule's float weights are added in
+    type order.
     """
     if rule.m != profile.m:
         raise ValueError("rule and profile must share m")
@@ -390,11 +385,11 @@ def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
         mask = (1 << width) - 1
         scores = (((total >> width * c) & mask) + lo * n for c in range(m))
         return Scoreboard(tuple(Fraction(s, scale) for s in scores), n)
-    scores = [0.0] * m
-    for row, c in zip(itertools.compress(type_scores(rule)[1].values(), counts),
-                      itertools.compress(counts, counts)):
-        for cand, s in enumerate(row):
-            scores[cand] += c * s
+    weights, scores = rule.weights, [0.0] * m
+    for places, c in zip(itertools.compress(_type_maps(m)[1].values(), counts),
+                         itertools.compress(counts, counts)):
+        for cand, p in enumerate(places):
+            scores[cand] += c * weights[p]
     return Scoreboard(tuple(scores), n)
 
 

@@ -20,22 +20,23 @@ Only the (m-1)! types with a directly below beta are kept (ba_types when beta
 is the runner-up, so q3 there is program (2)), and of recruits or ballots
 with identical columns only one: plurality at m = 6 goes from 360 + 120
 columns to 5 + 1.  The value is unchanged.  q2 keeps the whole pool, since
-its per-type bounds break the dominance, and a float rule keeps every column.
+its per-type bounds break the dominance, and so does a float rule, whose q3
+and q_program2 are float solves.
 
-A rational rule with exact scores answers q3 and q_program2 from
-certificates where it can.  With the winner a relabelled 0, the target beta
-1 and the others 2.. by descending score, every (a, beta) is one program per
-rule (_canonical_lp) and only its right-hand side D, the leads over beta,
-moves.  An optimal basis B stays optimal wherever B^-1 D >= 0, since a
-change of right-hand side keeps it dual feasible (Bertsimas & Tsitsiklis,
-Introduction to Linear Optimization, 1997, section 5.1), and a Farkas ray y
-proves every D with y . D > 0 unreachable.  A right-hand side that none of
-the rule's stored certificates (at most MAX_CERTIFICATES) answers is solved,
-and the certificate its final basis (LpOutcome.basis) gives is checked once,
-exactly, before it is stored.  An LP's optimal value is unique, so no value
-depends on what is stored or on the order of calls.  The program, its columns
-and its certificates are built once per rule object and freed with it.
-Float rules, exact weights with float scores, and q2 solve as before.
+A rational rule answers q3 and q_program2 from certificates where it can,
+reading its scores exactly, floats too.  With the winner a relabelled 0, the
+target beta 1 and the others 2.. by descending score, every (a, beta) is one
+program per rule (_canonical_lp) and only its right-hand side D, the leads
+over beta, moves.  An optimal basis B stays optimal wherever B^-1 D >= 0,
+since a change of right-hand side keeps it dual feasible (Bertsimas &
+Tsitsiklis, Introduction to Linear Optimization, 1997, section 5.1), and a
+Farkas ray y proves every D with y . D > 0 unreachable.  A right-hand side
+that none of the rule's stored certificates (at most MAX_CERTIFICATES)
+answers is solved, and the certificate its final basis (LpOutcome.basis)
+gives is checked once, exactly, before it is stored.  An LP's optimal value
+is unique, so no value depends on what is stored or on the order of calls.
+The program and its certificates are built once per rule object and freed
+with it.
 
 The search tries coalition sizes k upward from ceil(q3).  It reads a type
 only through its score row, so types with equal rows are interchangeable
@@ -71,7 +72,6 @@ from .election import (
     Profile,
     ScoreVector,
     Scoreboard,
-    _is_exact,
     _type_maps,
     per_rule,
     scoreboard,
@@ -118,7 +118,10 @@ class CoalitionPlan:
         }
 
 
-@lru_cache(maxsize=64)
+# One m <= 5 pass fits: instances key (a, b, beta) and the per-rule tables (a, beta, beta),
+# at most 80 keys at m = 5 and 36 at m = 4.  An m = 8 entry holds ~280 KB, so a caller that
+# builds instances for 128 or more (a, b, beta) at m = 8 keeps ~35 MB here.
+@lru_cache(maxsize=128)
 def _type_sets(m, a, b, beta):
     """pref_types, first_types, strata and ba_types of an instance, in one pass over the types."""
     pref, first, strata = [], [], [[] for _ in range(m - 1)]
@@ -305,14 +308,13 @@ def verify_stratified_plan(inst, plan, z=None, tol=0.0):
 # LP relaxations (programs with and without recruitment bounds)
 # --------------------------------------------------------------------- #
 
-def _coalition_lp(inst, xs, ys=None, upper_slack=None) -> lp.LinearProgram:
-    """Continuous coalition program: recruit from xs, cast ballots from ys (first_types).
+def _coalition_lp(inst, xs, upper_slack=None) -> lp.LinearProgram:
+    """Continuous coalition program: recruit from xs, cast ballots from first_types.
 
     upper_slack=K adds the shrunk recruitment bounds x_t <= N_t - K.
     """
-    w = inst.rule.weights
+    w, ys = inst.rule.weights, inst.first_types
     places = _type_maps(inst.m)[1]
-    ys = inst.first_types if ys is None else ys
     nx, ny = len(xs), len(ys)
     x_at, y_at = ([places[t] for t in types] for types in (xs, ys))
     rows = []
@@ -329,26 +331,6 @@ def _coalition_lp(inst, xs, ys=None, upper_slack=None) -> lp.LinearProgram:
             coeffs[j] = 1
             rows.append((tuple(coeffs), "<=", inst.count_of(t) - upper_slack))
     return lp.LinearProgram(tuple([1] * nx + [0] * ny), "min", tuple(rows))
-
-
-@per_rule
-def _lp_columns(rule, a, beta):
-    """(recruits, ballots): the columns of a rational rule's unbounded LP for (a, beta) that matter.
-
-    The recruits are the types that put a directly below beta, stratum by
-    stratum (ba_types when beta is the runner-up), the ballots the types that
-    rank beta first.  Of types with identical columns, w[p(alpha)] - w[p(beta)]
-    over alpha != beta for a recruit and w[p(alpha)] for a ballot, only the
-    first is kept.
-    """
-    rows = type_scores(rule)[1]
-    _, first, _, below = _type_sets(rule.m, a, beta, beta)
-    recruits, ballots = {}, {}
-    for t in below:
-        recruits.setdefault(tuple(s - rows[t][beta] for s in rows[t]), t)
-    for t in first:
-        ballots.setdefault(rows[t], t)
-    return tuple(recruits.values()), tuple(ballots.values())
 
 
 @per_rule
@@ -388,15 +370,12 @@ def _solved(program: lp.LinearProgram) -> lp.LpOutcome:
 def _unbounded_lp_value(inst, pool):
     """Value of the coalition LP over pool, without recruitment bounds.
 
-    A rational rule's is solved over _lp_columns, which has the same value,
-    and answered from the rule's certificates when its scores are exact.  A
-    float rule's keeps pool, and exact weights with float scores their
-    (a, beta) columns: their rounding depends on the columns and the rows.
+    A float rule's is the float solve over pool.  A rational rule's is
+    _canonical_lp's, which has the same value, answered from the rule's
+    certificates or by an exact solve.
     """
     if not inst.rule.is_rational:
         return _lp_value(_coalition_lp(inst, pool))
-    if not all(map(_is_exact, inst.scores)):
-        return _lp_value(_coalition_lp(inst, *_lp_columns(inst.rule, inst.a, inst.beta)))
     return _certified_value(inst)
 
 
@@ -407,8 +386,10 @@ MAX_CERTIFICATES = 32  # per rule
 def _canonical_lp(rule):
     """(cost, rows, certificates): a rational rule's q3 program, winner relabelled 0, target 1.
 
-    Its columns are _lp_columns(rule, 0, 1), scaled by the weights' common
-    denominator S: row alpha, for alpha in 0, 2, .., m-1, reads
+    Its recruits are the types that put 0 directly below 1, stratum by
+    stratum, its ballots the types that rank 1 first; of types with identical
+    columns only the first is kept.  Columns are scaled by the weights'
+    common denominator S: row alpha, for alpha in 0, 2, .., m-1, reads
     S*(w[p(alpha)] - w[p(1)]) on a recruit and S*(1 - w[p(alpha)]) on a
     ballot, >= S*D[alpha] with D[alpha] the lead of alpha over beta; the last
     row is sum(ballots) - sum(recruits) = 0.  Every (a, beta) of a profile is
@@ -417,11 +398,13 @@ def _canonical_lp(rule):
     leaves it as it is.
     """
     scale, rows = type_scores(rule)
-    recruits, ballots = _lp_columns(rule, 0, 1)
-    columns = [(*(row[alpha] - row[1] for alpha in range(rule.m) if alpha != 1), -1)
-               for row in map(rows.get, recruits)]
-    columns += [(*(scale - row[alpha] for alpha in range(rule.m) if alpha != 1), 1)
-                for row in map(rows.get, ballots)]
+    _, first, _, below = _type_sets(rule.m, 0, 1, 1)
+    others = [alpha for alpha in range(rule.m) if alpha != 1]
+    recruits = dict.fromkeys(tuple(row[alpha] - row[1] for alpha in others)
+                             for row in map(rows.get, below))
+    ballots = dict.fromkeys(tuple(scale - row[alpha] for alpha in others)
+                            for row in map(rows.get, first))
+    columns = [(*column, -1) for column in recruits] + [(*column, 1) for column in ballots]
     cost = (1,) * len(recruits) + (0,) * len(ballots)
     return cost, tuple(zip(*columns)), []
 
@@ -431,11 +414,12 @@ def _certified_value(inst):
 
     The others are relabelled 2.. by descending score, ties by label, so that
     like scoreboards give like right-hand sides.  D is kept as ints d over
-    the scores' common denominator.
+    the scores' common denominator; a float score is read exactly.
     """
     a, beta = inst.a, inst.beta
-    den = math.lcm(*(s.denominator for s in inst.scores))
-    lead = [s.numerator * (den // s.denominator) for s in inst.scores]
+    ratios = [s.as_integer_ratio() for s in inst.scores]
+    den = math.lcm(*(d for _, d in ratios))
+    lead = [n * (den // d) for n, d in ratios]
     order = sorted(range(inst.m), key=lambda c: (-lead[c], c))
     d = [lead[c] - lead[beta] for c in (a, *(c for c in order if c != a and c != beta))]
     cost, rows, certificates = _canonical_lp(inst.rule)

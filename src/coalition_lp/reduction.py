@@ -291,12 +291,10 @@ def q_stratified(margins: MarginPair, rule: ScoreVector):
 
 
 def k_constant(rule: ScoreVector):
-    """Rounding constant bounding the integrality + recruitment-limit gap."""
+    """Rounding constant bounding the integrality + recruitment-limit gap, floats read exactly."""
     if rule.has_unbounded_direction:
         return 0
-    m = rule.m
-    second_last = Fraction(rule.weights[-2]) if rule.is_rational else rule.weights[-2]
-    return 2 * math.factorial(m) / (1 - second_last)
+    return 2 * math.factorial(rule.m) / (1 - Fraction(rule.weights[-2]))
 
 
 def closed_form_q(family: str, margins: MarginPair, *, m=None, k=None, p=None):

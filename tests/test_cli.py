@@ -192,6 +192,8 @@ BAD_PROFILES = {
     ["polytope", "--rule", "borda", "--m", "3", "--seed", "-1"],
     ["qvalue", "--rule", "borda", "--m", "3", "--margins", "1,2", "--seed", "-1"],
     ["exact", "--profile", "{good}", "--rule", "borda", "--seed", "-1"],
+    ["polytope", "--rule", "weights:1,inf,0", "--m", "3"],
+    ["polytope", "--rule", "weights:1,x,0", "--m", "3"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv, tmp_path, capsys, monkeypatch):
     files = {}
@@ -209,6 +211,9 @@ def test_invalid_input_is_one_line_exit_2(argv, tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     for name in ("--seed", "--threads", "COALITION_LP_THREADS"):
         assert name in captured.err or name not in flags
+    for part in ("inf", "nan", "x"):
+        if f"weights:1,{part},0" in argv:
+            assert captured.err == f"error: weight {part!r} is not a number\n"
 
 
 # Argument pieces for the fuzz test.  Each strategy draws a well-formed value

@@ -15,9 +15,10 @@ from coalition_lp.election import (
     ConstantVector, MTooLarge, NotMonotone, Profile, ScoreVector, TooFewCandidates,
     all_rankings, antiplurality, borda, k_approval, normalize, parse_rule,
     plurality, ranking_index, sample_ic, sample_scoreboards, score_matrix,
-    scoreboard, three_candidate, top_two,
+    scoreboard, three_candidate, top_two, type_scores,
 )
 from coalition_lp.exact import ManipulationInstance, _coalition_lp
+from coalition_lp.reduction import k_constant
 
 
 def test_normalize_is_affine_invariant():
@@ -318,3 +319,47 @@ def test_module_caches_are_keyed_by_m_alone():
                 if name in ("lru_cache", "cache"):
                     cached.append((path.name, node.name, [arg.arg for arg in node.args.args][:1]))
     assert cached and all(first == ["m"] for _, _, first in cached), cached
+
+
+# The functions that read is_rational, _is_exact, _close or TIE_TOL: every route a float rule,
+# float score or float margin can take in its own arithmetic.  The float scoreboard, tie test
+# and LP solves are pinned by bench/golden.json; the rest parse inputs or check float plans.
+FLOAT_ROUTES = {
+    "election._close", "election.ScoreVector.is_rational", "election.normalize",
+    "election.three_candidate", "election.Scoreboard.mean", "election.scoreboard",
+    "election.top_two",
+    "exact.verify_plan", "exact._unbounded_lp_value", "exact._integer_tables",
+    "lp.solve",
+    "reduction.MarginPair.scoreboard_valid", "reduction.optimal_vertex_set",
+    "reduction.closed_form_q", "reduction.witness_from_z",
+}
+
+
+def test_float_arithmetic_stays_on_its_routes():
+    """The functions that tell float inputs from exact ones are exactly FLOAT_ROUTES."""
+    names = {"is_rational", "_is_exact", "_close", "TIE_TOL"}
+    found = set()
+    for path in sorted(Path(election.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scoped = [(f"{top.name}.", top.body)] if isinstance(top, ast.ClassDef) else [("", [top])]
+            for prefix, body in scoped:
+                for node in body:
+                    if not isinstance(node, ast.FunctionDef):
+                        continue
+                    for sub in ast.walk(node):
+                        read = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                        if read in names:
+                            found.add(f"{path.stem}.{prefix}{node.name}")
+    assert found == FLOAT_ROUTES
+
+
+def test_float_rules_read_their_weights_exactly():
+    """A float rule's score rows, mean, variance, sigma and k_constant are its Fraction twin's."""
+    for raw in ((1.0, 0.8, 0.55, 0.3, 0.1, 0.0), (1.0, 0.7, 0.4, 0.15, 0.0), (1.0, 1.0, 0.5, 0.0),
+                (1.0, 0.3, 0.0), (1.0, 1.0, 0.0), [math.sqrt(4 - pos) for pos in range(5)]):
+        rule = normalize(raw)
+        twin = normalize(map(Fraction, rule.weights))
+        assert not rule.is_rational and twin.is_rational and twin == rule
+        assert type_scores(rule) == type_scores(twin)
+        for stat in (lambda r: r.mean, lambda r: r.variance, lambda r: r.sigma, k_constant):
+            assert (stat(rule), type(stat(rule))) == (stat(twin), type(stat(twin))), raw

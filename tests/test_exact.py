@@ -337,35 +337,42 @@ def test_certificate_guard_refuses_corrupted_bases(monkeypatch):
             assert len(stored) == (honest is not None)
 
 
-# q3 and q_program2 reprs recorded before they were answered from certificates: exact
-# weights with float or mixed int/float scores keep the (a, beta) columns' float solve.
+# q3 and q_program2 of scoreboards given as floats, or as ints and floats, under rational
+# rules: the runner-up's q3 and q_program2, then q3 of targets 2.. (the winner is 0).
 # Pairs, not a dict: the two Borda scoreboards compare and hash equal.
 FLOAT_SCORE_PINS = (
-    (("borda", (10.0, 8.5, 7.0, 4.5)),
-     ("2.249999999999999", "2.249999999999999", "4.499999999999999", "8.249999999999998")),
-    (("borda", (10, 8.5, 7, 4.5)),
-     ("2.249999999999999", "2.249999999999999", "4.499999999999999", "8.249999999999998")),
-    (("weights:1,1,1/2,0", (12.25, 11, 9.5, 3)), ("1.25", "1.25", "3.5", "15.187500000000004")),
-    (("weights:1,1,1/2,0", (12, 11.75, 9, 3)), ("0.25", "0.25", "4.375", "14.937500000000002")),
-    (("plurality", (30.0, 21, 20.5, 15, 13.5)), ("9.0", "9.0", "9.5", "15.0", "16.5")),
-    (("antiplurality", (20, 18.5, 17, 9.5)), ("1.5", "1.5", "4.5", "inf")),
-    (("approval:2", (40, 39.25, 30, 22.5, 18.25)), ("0.75", "0.75", "10.0", "17.5", "21.75")),
+    (("borda", (10.0, 8.5, 7.0, 4.5)), ("9/4", "9/4", "9/2", "33/4")),
+    (("borda", (10, 8.5, 7, 4.5)), ("9/4", "9/4", "9/2", "33/4")),
+    (("weights:1,1,1/2,0", (12.25, 11, 9.5, 3)), ("5/4", "5/4", "7/2", "243/16")),
+    (("weights:1,1,1/2,0", (12, 11.75, 9, 3)), ("1/4", "1/4", "35/8", "239/16")),
+    (("plurality", (30.0, 21, 20.5, 15, 13.5)), ("9", "9", "19/2", "15", "33/2")),
+    (("antiplurality", (20, 18.5, 17, 9.5)), ("3/2", "3/2", "9/2", "inf")),
+    (("approval:2", (40, 39.25, 30, 22.5, 18.25)), ("3/4", "3/4", "10", "35/2", "87/4")),
 )
 
 
-def test_float_scores_keep_their_float_solve(monkeypatch):
-    """The runner-up's q3 and q_program2, then q3 of targets 2.. (the winner is 0)."""
-    monkeypatch.setattr(exact, "_certified_value", None)  # never reached
-    for (text, scores), want in FLOAT_SCORE_PINS:
-        rule = parse_rule(text, len(scores))
+def test_float_scores_are_read_exactly():
+    """A rational rule reads float scores exactly: each value is that of the scores as Fractions.
+
+    The float solve over the (a, beta) columns that these replaced read
+    8.249999999999998 for Borda's 33/4 and 15.187500000000004 for the
+    243/16 of weights:1,1,1/2,0.
+    """
+    def values(rule, scores):
         runner_up = ManipulationInstance.from_scores(rule, scores)
         got = [q3(runner_up), q_program2_from_instance(runner_up)]
-        got += [q3(ManipulationInstance.from_scores(rule, scores, beta))
-                for beta in range(2, len(scores))]
-        assert tuple(map(repr, got)) == want, (text, scores)
+        return got + [q3(ManipulationInstance.from_scores(rule, scores, beta))
+                      for beta in range(2, len(scores))]
+
+    for (text, scores), want in FLOAT_SCORE_PINS:
+        rule = parse_rule(text, len(scores))
+        got = values(rule, scores)
+        assert got == values(parse_rule(text, len(scores)), [*map(Fraction, scores)])
+        assert all(type(v) is Fraction or v == math.inf for v in got)
+        assert tuple(map(str, got)) == want, (text, scores)
 
 
-LP_COLUMN_COUNTS = {  # (recruits, ballots) of every (a, beta); the full pools hold m!/2 and (m-1)!
+LP_COLUMN_COUNTS = {  # (recruits, ballots) of _canonical_lp; the full pools hold m!/2 and (m-1)!
     3: {"plurality": (2, 1), "borda": (2, 2), "approval:2": (2, 2), "antiplurality": (2, 2)},
     4: {"plurality": (3, 1), "borda": (6, 6), "approval:2": (4, 3), "antiplurality": (3, 3)},
     5: {"plurality": (4, 1), "borda": (24, 24), "approval:2": (7, 4), "antiplurality": (4, 4)},
@@ -373,17 +380,19 @@ LP_COLUMN_COUNTS = {  # (recruits, ballots) of every (a, beta); the full pools h
 }
 
 
+def _column_counts(rule):
+    cost = exact._canonical_lp(rule)[0]
+    return cost.count(1), cost.count(0)
+
+
 def test_lp_column_counts_are_pinned():
     for m, counts in LP_COLUMN_COUNTS.items():
         for text, want in counts.items():
-            rule = parse_rule(text, m)
-            got = {tuple(map(len, exact._lp_columns(rule, a, beta)))
-                   for a, beta in itertools.permutations(range(m), 2)}
-            assert got == {want}, (m, text)
+            assert _column_counts(parse_rule(text, m)) == want, (m, text)
 
 
 def _all_pairs_lp_columns(rule):
-    """{(a, beta): (recruits, ballots)} of every pair in one table: the reference for _lp_columns."""
+    """{(a, beta): (recruits, ballots)} of every pair in one table: the reference for _canonical_lp."""
     rows = type_scores(rule)[1]
     recruits = {pair: {} for pair in itertools.permutations(range(rule.m), 2)}
     for i in range(rule.m - 1):  # stratum by stratum, as ba_types
@@ -398,13 +407,46 @@ def _all_pairs_lp_columns(rule):
 
 
 def test_lp_columns_per_pair_match_the_all_pairs_table():
-    """Entry for entry and in order, for every (a, beta) of the rational bound rules, m = 3..6."""
+    """_canonical_lp's columns are the (0, 1) entry's, in order; every pair has as many.
+
+    For the rational bound rules at m = 3..6: recruit t reads
+    S*w[p(alpha)] - S*w[p(1)] over alpha != 1 and -1 on the size row, ballot
+    t reads S - S*w[p(alpha)] and +1.
+    """
     for m in range(3, 7):
         for rule in _bound_rules(m)[:-1]:
             table = _all_pairs_lp_columns(rule)
             assert len(table) == m * (m - 1)
-            for (a, beta), columns in table.items():
-                assert exact._lp_columns(rule, a, beta) == columns, (m, rule, a, beta)
+            assert {tuple(map(len, columns)) for columns in table.values()} \
+                == {_column_counts(rule)}, (m, rule)
+            scale, rows = type_scores(rule)
+            others = [alpha for alpha in range(m) if alpha != 1]
+            recruits, ballots = table[0, 1]
+            columns = [(*(rows[t][alpha] - rows[t][1] for alpha in others), -1) for t in recruits]
+            columns += [(*(scale - rows[t][alpha] for alpha in others), 1) for t in ballots]
+            assert exact._canonical_lp(rule)[:2] \
+                == ((1,) * len(recruits) + (0,) * len(ballots), tuple(zip(*columns))), (m, rule)
+
+
+def test_type_sets_hold_one_m5_pass():
+    """A second mcs_outcome pass over the seed-9 m = 5 probe builds no type set anew.
+
+    The probe is n in (50, 200, 1000), i < 4, under four rules: instances and
+    per-rule tables ask for up to 80 (a, b, beta) keys at m = 5.
+    """
+    rules = [parse_rule(text, 5) for text in ("plurality", "borda", "approval:2", "antiplurality")]
+    profiles = [sample_ic(n, 5, (9, n, i)) for n in (50, 200, 1000) for i in range(4)]
+
+    def one_pass():
+        for profile in profiles:
+            for rule in rules:
+                if top_two(scoreboard(profile, rule))[2]:
+                    mcs_outcome(profile, rule)
+        return exact._type_sets.cache_info().misses
+
+    exact._type_sets.cache_clear()
+    first = one_pass()
+    assert first > 0 and one_pass() == first
 
 
 def test_bracket_on_the_m4_benchmark_corpus():
@@ -753,10 +795,11 @@ def _tables_of(rule):
 def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
     """(1, 1/2, 0) == (1, 0.5, 0) and both hash alike, yet each rule keeps its own arithmetic.
 
-    Score rows, coalition programs and polytope are each rule's own, whichever
-    comes first.  A float rule never reads the certificates a rational q3
-    stored, and stores none.  Its polytope reads its weights exactly: the
-    same Fractions as the rational rule's, in an object of its own.
+    Scoreboards and coalition programs are each rule's own, whichever comes
+    first: a float rule's scoreboard sums its float weights and builds no
+    table.  A float rule never reads the certificates a rational q3 stored,
+    and stores none.  Its score rows and polytope read its weights exactly:
+    equal to the rational rule's, in objects of its own.
     """
     solved, answered = [], []
     real_solve, real_answer = lp.solve, exact._answer
@@ -776,10 +819,12 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
         assert rational == floating and hash(rational) == hash(floating)
         for rule in (rational, floating) if rational_first else (floating, rational):
             kind = Fraction if rule is rational else float
+            board = scoreboard(BORDA_TINY, rule)
+            assert {type(s) for s in board.scores} == {kind}
+            assert _tables_of(rule) == ({"integer_weights", "_packed_rows"} if rule is rational
+                                        else set())
             scale, rows = type_scores(rule)
-            assert scale == (2 if rule is rational else 1)
-            assert {type(s) for row in rows.values() for s in row} \
-                == {int if rule is rational else float}
+            assert scale == 2 and {type(s) for row in rows.values() for s in row} == {int}
             inst = ManipulationInstance.from_profile(BORDA_TINY, rule)
             program = exact._coalition_lp(inst, inst.pref_types)
             assert program.is_rational is (rule is rational)
@@ -800,6 +845,8 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
             assert {type(c) for point in cone_optimal_vertices(poly) for c in point} == {Fraction}
         assert mw_polytope(rational) is not mw_polytope(floating)
         assert repr(mw_polytope(rational)) == repr(mw_polytope(floating))
+        assert type_scores(rational) is not type_scores(floating)
+        assert type_scores(rational) == type_scores(floating)
 
 
 def test_rule_tables_leave_the_rule_as_it_was():
@@ -811,9 +858,9 @@ def test_rule_tables_leave_the_rule_as_it_was():
         inst = ManipulationInstance.from_profile(profile, rule)
         q3(inst)
         poly = mw_polytope(rule)
-        built = {"integer_weights", "type_scores", "mw_polytope"}
+        built = {"integer_weights", "mw_polytope"}  # a float rule's scoreboard and q3 build none
         if rule.is_rational:
-            built |= {"_packed_rows", "_lp_columns", "_canonical_lp"}
+            built |= {"type_scores", "_packed_rows", "_canonical_lp"}
         assert _tables_of(rule) == built
         assert (repr(rule), hash(rule)) == before and rule == normalize(rule.weights)
         assert [f.name for f in dataclasses.fields(rule)] == ["weights"]
