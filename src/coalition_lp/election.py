@@ -7,9 +7,10 @@ ranking of all candidates, best first.  A positional rule assigns weight
 
 Arithmetic is exact (fractions.Fraction) whenever every weight is rational,
 which is the default for the named rules.  A rule given as floats has its
-weights read exactly (integer_weights, type_scores, mean, variance) except on
-the routes that stay float: its scoreboard sums the float weights, its ties
-are tested to within TIE_TOL, and its LP values are float solves.
+weights read exactly (integer_weights, by lp.lcd_ints, and type_scores, mean,
+variance) except on the routes that stay float: its scoreboard sums the float
+weights, its ties are tested to within TIE_TOL, and its LP values are float
+solves.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from fractions import Fraction
 from operator import mul
 
 import numpy as np
+
+from .lp import lcd_ints
 
 TIE_TOL = 1e-9
 
@@ -337,9 +340,8 @@ def per_rule(build):
 @per_rule
 def integer_weights(rule: ScoreVector) -> tuple:
     """(scale, ints): the lcm of the weights' denominators, and w * scale; floats read exactly."""
-    ratios = [w.as_integer_ratio() for w in rule.weights]
-    scale = math.lcm(*(d for _, d in ratios))
-    return scale, tuple(n * (scale // d) for n, d in ratios)
+    ints, scale = lcd_ints(rule.weights)
+    return scale, tuple(ints)
 
 
 @per_rule

@@ -21,7 +21,9 @@ is the runner-up, so q3 there is program (2)), and of recruits or ballots
 with identical columns only one: plurality at m = 6 goes from 360 + 120
 columns to 5 + 1.  The value is unchanged.  q2 keeps the whole pool, since
 its per-type bounds break the dominance, and so does a float rule, whose q3
-and q_program2 are float solves.
+and q_program2 are float solves.  A plan is verified in one arithmetic:
+every amount, score and z entry is read exactly (lp.lcd_ints), floats too,
+and summed and scored in ints.
 
 A rational rule answers q3 and q_program2 from certificates where it can,
 reading its scores exactly, floats too.  With the winner a relabelled 0, the
@@ -206,76 +208,61 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
 
     pool/ballots delimit the allowed supports of x and y.  With bounds=True
     each x_t is checked against the profile count of t.  strata_z, when
-    given, pins the per-stratum sums of x to the target z vector.
+    given, pins the per-stratum sums of x to the target z vector.  Every
+    amount, score, z entry and tol is read exactly, floats too: the plan is
+    summed and scored in ints over common denominators, and a constraint is
+    violated when it is missed by more than tol.  A non-finite amount is a
+    violation, and nothing else is checked then.
     """
+    if odd := [f"non-finite amount {amt} for {t}" for part in (plan.x, plan.y)
+               for t, amt in part.items() if isinstance(amt, float) and not math.isfinite(amt)]:
+        return odd
+    tol = Fraction(tol)
+
+    def missed(short, den):  # short / den < -tol: the int's sign first, a Fraction only for a miss
+        return short < 0 and (not tol or Fraction(short, den) < -tol)
+
     issues = []
-    # an exact plan is summed and scored in ints: weights, amounts and scores each over their
-    # common denominator
-    amounts = (*plan.x.values(), *plan.y.values())
-    exact = inst.rule.is_rational and {*map(type, (*amounts, *inst.scores))} <= {int, Fraction}
-
-    def negative(amt):  # below -tol; an exact amount is first tested by the sign of its numerator
-        return (not exact or amt.numerator < 0) and amt < -tol
-
-    pool = set(pool)
-    ballots = set(ballots)
-    for t, amt in plan.x.items():
+    nums, den = lp.lcd_ints((*plan.x.values(), *plan.y.values()))
+    x, y = dict(zip(plan.x, nums)), dict(zip(plan.y, nums[len(plan.x):]))
+    pool, ballots = set(pool), set(ballots)
+    for t, amt in x.items():
         if t not in pool:
             issues.append(f"recruit type {t} outside the allowed pool")
-        if negative(amt):
-            issues.append(f"negative recruitment {amt} for {t}")
-        if bounds and amt - inst.count_of(t) > tol:
-            issues.append(f"recruited {amt} of type {t}, only {inst.count_of(t)} exist")
-    for t, amt in plan.y.items():
+        if missed(amt, den):
+            issues.append(f"negative recruitment {plan.x[t]} for {t}")
+        if bounds and missed(inst.count_of(t) * den - amt, den):
+            issues.append(f"recruited {plan.x[t]} of type {t}, only {inst.count_of(t)} exist")
+    for t, amt in y.items():
         if t not in ballots:
             issues.append(f"ballot type {t} outside the allowed set")
-        if negative(amt):
-            issues.append(f"negative ballot count {amt} for {t}")
-    if exact:
-        den = math.lcm(1, *(a.denominator for a in amounts))
-        x, y = ({t: a.numerator * (den // a.denominator) for t, a in part.items()}
-                for part in (plan.x, plan.y))
-
-        def total(amts):
-            return Fraction(sum(amts), den)
-    else:
-        x, y, total = plan.x, plan.y, sum
-    xs = total(x.values())
-    ys = total(y.values())
-    if abs(xs - ys) > tol:
-        issues.append(f"coalition size mismatch: recruits {xs}, ballots {ys}")
+        if missed(amt, den):
+            issues.append(f"negative ballot count {plan.y[t]} for {t}")
+    xs, ys = sum(x.values()), sum(y.values())
+    if missed(-abs(xs - ys), den):
+        issues.append(f"coalition size mismatch: recruits {Fraction(xs, den)}, "
+                      f"ballots {Fraction(ys, den)}")
     if strata_z is not None:
+        zs, zden = lp.lcd_ints(strata_z)
         for i, stratum in enumerate(inst.strata):
-            got = total(x.get(t, 0) for t in stratum)
-            if got != strata_z[i] and abs(got - strata_z[i]) > tol:
+            got = sum(x.get(t, 0) for t in stratum)
+            if missed(-abs(got * zden - zs[i] * den), den * zden):
+                got = Fraction(got, den)
                 issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
+    # lhs(alpha) = sum_y amt * (scale - row[alpha]) - sum_x amt * (row[target] - row[alpha]),
+    # over unit; the leads over the target are over sden
     target = inst.beta
-    others = [c for c in range(inst.m) if c != target]
-    if exact:
-        # lhs(alpha) = sum_y amt * (scale - row[alpha]) - sum_x amt * (row[target] - row[alpha])
-        scale, rows = type_scores(inst.rule)
-        unit = scale * den
-        got_x, got_y = _candidate_totals(x, rows, inst.m), _candidate_totals(y, rows, inst.m)
-        base = scale * sum(y.values()) - got_x[target]
-        sden = math.lcm(*(s.denominator for s in inst.scores))
-        lead = [s.numerator * (sden // s.denominator) * unit for s in inst.scores]
-        for alpha in others:
-            lhs = base - got_y[alpha] + got_x[alpha]
-            short = lhs * sden - (lead[alpha] - lead[target])  # (lhs - rhs * unit) * sden
-            if short < 0 and (not tol or Fraction(short, sden) < -tol * unit):
-                rhs = inst.scores[alpha] - inst.scores[target]
-                issues.append(f"candidate {alpha} stays ahead: {Fraction(lhs, unit)} < {rhs}")
-        return issues
-    places = _type_maps(inst.m)[1]
-    weights = inst.rule.weights
-    for alpha in others:
-        lhs = sum(amt * (1 - weights[places[t][alpha]]) for t, amt in y.items())
-        lhs -= sum(amt * (weights[places[t][target]] - weights[places[t][alpha]])
-                   for t, amt in x.items())
-        rhs = inst.scores[alpha] - inst.scores[target]
-        # compare the difference so exact inputs are never coerced to float
-        if lhs - rhs < -tol:
-            issues.append(f"candidate {alpha} stays ahead: {lhs} < {rhs}")
+    scale, rows = type_scores(inst.rule)
+    unit = scale * den
+    got_x, got_y = _candidate_totals(x, rows, inst.m), _candidate_totals(y, rows, inst.m)
+    base = scale * ys - got_x[target]
+    lead, sden = lp.lcd_ints(inst.scores)
+    for alpha in range(inst.m):
+        if alpha != target:
+            lhs, rhs = base - got_y[alpha] + got_x[alpha], lead[alpha] - lead[target]
+            if missed(lhs * sden - rhs * unit, unit * sden):
+                issues.append(f"candidate {alpha} stays ahead: "
+                              f"{Fraction(lhs, unit)} < {Fraction(rhs, sden)}")
     return issues
 
 
@@ -299,6 +286,8 @@ def verify_stratified_plan(inst, plan, z=None, tol=0.0):
     """Soundness check for a program-(2)-style plan (target must be the runner-up)."""
     if inst.beta != inst.b:
         raise ValueError("stratified plans target the runner-up")
+    if z is not None and len(z) != inst.m - 1:
+        raise ValueError(f"z needs m-1 = {inst.m - 1} entries, got {len(z)}")
     return verify_plan(
         inst, plan, pool=inst.ba_types, ballots=inst.first_types, strata_z=z, tol=tol
     )
@@ -417,9 +406,7 @@ def _certified_value(inst):
     the scores' common denominator; a float score is read exactly.
     """
     a, beta = inst.a, inst.beta
-    ratios = [s.as_integer_ratio() for s in inst.scores]
-    den = math.lcm(*(d for _, d in ratios))
-    lead = [n * (den // d) for n, d in ratios]
+    lead, den = lp.lcd_ints(inst.scores)
     order = sorted(range(inst.m), key=lambda c: (-lead[c], c))
     d = [lead[c] - lead[beta] for c in (a, *(c for c in order if c != a and c != beta))]
     cost, rows, certificates = _canonical_lp(inst.rule)

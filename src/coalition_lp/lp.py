@@ -245,13 +245,19 @@ def solve(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(LpStatus.OPTIMAL, value, tuple(point), labels())
 
 
-def _scaled(values, exact):
-    """Exact values as ints over their common denominator, with it; floats with 1.0."""
-    if not exact:
-        return [float(v) for v in values], 1.0
+def lcd_ints(values):
+    """(ints, den): ints, Fractions or finite floats read exactly, as ints over their lcd.
+
+    Every float is a dyadic rational, so as_integer_ratio() loses nothing.
+    """
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*(d for _, d in ratios))
-    return [x * (den // d) for x, d in ratios], den
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _scaled(values, exact):
+    """Exact values as ints over their common denominator, with it; floats with 1.0."""
+    return lcd_ints(values) if exact else ([float(v) for v in values], 1.0)
 
 
 def _pivot(tableau, dens, basis, leaving, entering, exact):

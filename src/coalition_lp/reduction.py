@@ -17,13 +17,14 @@ witness_from_z turns any feasible z into an explicit fractional coalition
 plan for the stratified program.
 
 The geometry and the witness are computed on Python ints for every rule,
-floats read exactly: M_w's rows scaled by the weights' common denominator,
-and every scalar of the witness (z, the scores, A, B, r, u, v and the
-per-type amounts) as a numerator over a known denominator.  Fractions are
-built only for the vertices and plan entries returned; a witness with a
-float input rounds each amount once, to a float.  M_w and its cone-optimal
-vertices depend on the rule alone: they are built once per rule object and
-freed with it.
+floats read exactly (lp.lcd_ints): M_w's rows scaled by the weights' common
+denominator, and every scalar of the witness (z, the scores, A, B, r, u, v
+and the per-type amounts) as a numerator over a known denominator.
+Fractions are built only for the vertices and plan entries returned; a
+witness with a float input rounds each amount once, to a float.  M_w and
+its cone-optimal vertices depend on the rule alone: they are built once per
+rule object and freed with it.  Margins and p are read exactly too, with no
+tie tolerance, by scoreboard_valid, optimal_vertex_set and closed_form_q.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from functools import cached_property
 
 from . import lp
 from .election import (
-    InvalidInput, ScoreVector, Scoreboard, TIE_TOL, _close, _is_exact, integer_weights, per_rule,
-    top_two,
+    InvalidInput, ScoreVector, Scoreboard, _is_exact, integer_weights, per_rule, top_two,
 )
 from .exact import CoalitionPlan, ManipulationInstance, verify_stratified_plan
 
@@ -81,12 +81,9 @@ class MarginPair:
         return self.a_margin + self.b_deficit
 
     def scoreboard_valid(self, m: int) -> bool:
-        """Whether some m-candidate scoreboard realizes these margins."""
-        lo, hi = -self.a_margin, self.a_margin / (m - 1)
-        if _is_exact(self.a_margin) and _is_exact(self.b_deficit):
-            return self.a_margin >= 0 and lo <= self.b_deficit <= hi
-        t = TIE_TOL
-        return self.a_margin >= -t and lo - t <= self.b_deficit <= hi + t
+        """Whether some m-candidate scoreboard realizes these margins, read exactly."""
+        a, b = Fraction(self.a_margin), Fraction(self.b_deficit)
+        return a >= 0 and -a <= b <= a / (m - 1)
 
 
 # --------------------------------------------------------------------- #
@@ -208,12 +205,10 @@ def q_dual(margins: MarginPair, poly: Polytope2D):
 
 
 def optimal_vertex_set(margins: MarginPair, poly: Polytope2D) -> tuple:
-    """All vertices attaining q_dual (empty when the value is unbounded)."""
-    best = q_dual(margins, poly)
-    if best == math.inf:
-        return ()
-    A, B = margins.a_margin, margins.b_deficit
-    return tuple(v for v in poly.vertices if _close(v[0] * A + v[1] * B, best))
+    """All vertices attaining q_dual, margins read exactly (empty when the value is unbounded)."""
+    A, B = Fraction(margins.a_margin), Fraction(margins.b_deficit)
+    best = q_dual(MarginPair(A, B), poly)  # inf past a positive ray, which no vertex attains
+    return tuple(v for v in poly.vertices if v[0] * A + v[1] * B == best)
 
 
 def cone_optimal_vertices(poly: Polytope2D) -> tuple:
@@ -232,13 +227,14 @@ def _cone_optimal_vertices(poly):
     m = poly.m
     slope = Fraction(m, m - 1)  # dB/dtheta along d(theta) = (1, -1 + theta*m/(m-1))
     points = [(Fraction(x), Fraction(y)) for x, y in poly.vertices]
+    rays = [(Fraction(x), Fraction(y)) for x, y in poly.rays]
     out = []
     for v, (vx, vy) in zip(poly.vertices, points):
+        # v needs (v - u) . d(theta) >= 0 for every other vertex u, and r . d(theta) <= 0 for
+        # every ray r to keep the maximum finite: that is the rival point u = v + r
+        rivals = [u for u in points if u != (vx, vy)] + [(vx + rx, vy + ry) for rx, ry in rays]
         lo, hi = Fraction(0), Fraction(1)
-        feasible = True
-        for u, (ux, uy) in zip(poly.vertices, points):
-            if u == v:
-                continue
+        for ux, uy in rivals:
             c0 = (vx - ux) - (vy - uy)
             c1 = (vy - uy) * slope
             if c1 > 0:
@@ -246,20 +242,8 @@ def _cone_optimal_vertices(poly):
             elif c1 < 0:
                 hi = min(hi, -c0 / c1)
             elif c0 < 0:
-                feasible = False
-                break
-        for r in poly.rays:
-            c0 = Fraction(r[0]) - Fraction(r[1])
-            c1 = Fraction(r[1]) * slope
-            # need r . d(theta) <= 0 to keep the maximum finite
-            if c1 > 0:
-                hi = min(hi, -c0 / c1)
-            elif c1 < 0:
-                lo = max(lo, -c0 / c1)
-            elif c0 > 0:
-                feasible = False
-                break
-        if feasible and lo < hi:
+                hi = lo  # u beats v at every theta: the range stays empty
+        if lo < hi:
             out.append(v)
     return tuple(out)
 
@@ -322,7 +306,7 @@ def closed_form_q(family: str, margins: MarginPair, *, m=None, k=None, p=None):
     if family in ("easy", "hard"):
         if p is None:
             raise ParamOutOfRange(f"{family} needs p")
-        p = Fraction(p) if _is_exact(p) or isinstance(p, str) else p
+        p = Fraction(p)  # floats read exactly
         if m not in (None, 3):
             raise ParamOutOfRange("the easy/hard families live on three candidates")
         if family == "easy":
@@ -423,18 +407,13 @@ def _exact_shares(inst, z, others, exact):
     units and r is clamped to [0, 1]: float arithmetic left them that slack.
     """
     m = inst.m
-    scores, ztol, rowtol = inst.scores, 0, 0
-    if not exact:  # every float is a dyadic rational: Fraction(x) loses nothing
-        z, scores = [*map(Fraction, z)], [*map(Fraction, scores)]
-        ztol, rowtol = Fraction(1, 10**9), Fraction(1, 10**8)
-    dz = math.lcm(*(zi.denominator for zi in z))
-    zs = [zi.numerator * (dz // zi.denominator) for zi in z]
+    ztol, rowtol = (0, 0) if exact else (Fraction(1, 10**9), Fraction(1, 10**8))
+    zs, dz = lp.lcd_ints(z)
     if any(zi < -ztol * dz for zi in zs):
         raise ZInfeasible("negative recruitment total")
     zs = [max(zi, 0) for zi in zs]
     scale, ints = integer_weights(inst.rule)
-    sden = math.lcm(*(s.denominator for s in scores))
-    lead = [s.numerator * (sden // s.denominator) for s in scores]
+    lead, sden = lp.lcd_ints(inst.scores)
     unit = m * dz * scale  # a numerator over sden, times unit, is over G
     a_s, b_s = lead[inst.a] * unit, lead[inst.b] * unit
     mean = sum(lead) * dz * scale

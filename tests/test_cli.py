@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from coalition_lp import asymptotics, lp
 from coalition_lp.asymptotics import curve_from_csv, convergence_from_csv
 from coalition_lp.cli import main, parse_grid
+from coalition_lp.election import sample_ic
 
 TINY = '{"m": 3, "votes": [{"ranking": [0,1,2], "count": 4}, {"ranking": [1,0,2], "count": 3}, {"ranking": [2,1,0], "count": 1}]}'
 UNREACHABLE = (
@@ -308,3 +310,74 @@ def test_cli_never_raises(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (argv, profile, err)
     assert "Traceback" not in err, (argv, profile, err)
+
+
+# --------------------------------------------------------------------- #
+# Pinned CLI output
+# --------------------------------------------------------------------- #
+
+PIN_MARGINS = ("3,1", "0,0", "1,-1", "5,1/3", "2,-1/2", "1,1", "4,-4", "0.1,0.05")
+
+
+def _pin_rules(m):
+    """Borda, plurality, anti-plurality, 2-approval and two weight rules, one with decimals."""
+    halves = "weights:" + ",".join(("1", *("1/2",) * (m - 2), "0"))
+    decimals = "weights:" + ",".join(("1", *(f"0.{9 - i}" for i in range(m - 2)), "0"))
+    return ("borda", "plurality", "antiplurality", "approval:2", halves, decimals)
+
+
+def _pin_argvs(tmp_path):
+    """{group: [argv, ...]}: polytope and qvalue per m = 3..8, exact on seed-9 m = 4 profiles.
+
+    Each m's qvalue margins add (m-1, 1), on the upper edge b_deficit = a_margin/(m-1).
+    """
+    groups = {}
+    for m in range(3, 9):
+        margins = (*PIN_MARGINS, f"{m - 1},1")
+        polytope = groups.setdefault(f"polytope m={m}", [])
+        qvalue = groups.setdefault(f"qvalue m={m}", [])
+        for rule in _pin_rules(m):
+            args = ["--rule", rule, "--m", str(m)]
+            polytope += [["polytope", *args], ["polytope", *args, "--exact"]]
+            qvalue += [["qvalue", *args, "--margins", pair] for pair in margins]
+    exact = groups.setdefault("exact m=4", [])
+    for n, i in ((50, 0), (50, 1), (200, 0)):
+        path = tmp_path / f"ic-{n}-{i}.json"
+        path.write_text(sample_ic(n, 4, (9, n, i)).to_json())
+        for rule in ("borda", "plurality", "antiplurality", "weights:1,1/2,1/4,0"):
+            exact += [["exact", "--profile", str(path), "--rule", rule, *flag]
+                      for flag in ([], ["--strict-win"])]
+    return groups
+
+
+# Recorded while verify_plan, scoreboard_valid, optimal_vertex_set and closed_form_q still
+# had float branches; the CLI reads every number with Fraction, so none of its output moved.
+PINNED_CLI_OUTPUT = {
+    "polytope m=3": (12, "b984ce9580daf32bac69ee87b91adedee7d866f670d85a7064a68a74a3fd19b6"),
+    "qvalue m=3": (54, "c513f355527f651df181d99d6514ff97c898d0a99caaecf591d99e9cf9d9a8f0"),
+    "polytope m=4": (12, "4b51492da0de272a5ab60be35f50df35f97c7eee0a08cdf5aa718b15ecf75ff7"),
+    "qvalue m=4": (54, "51dac0d7d2b5e9971a556edf12b46d0bd2574938c1aafea062bd21ff0105aa4f"),
+    "polytope m=5": (12, "e2a26e49520bb0a989aa1f8a8813dfd8eb4240c107e91101b506d11569bfe8ed"),
+    "qvalue m=5": (54, "60f598298d051f85a72cf71cd4186fe4c248d972e1d1fda05ee79c7519649c4e"),
+    "polytope m=6": (12, "6cb2ff9b4c72662f676702263fd4c5faf676b585041f5231281bb8a36b08fa83"),
+    "qvalue m=6": (54, "435fd285e305b89ec7f7fa9f4a43689c8e76c5a430e403249929043b337bd459"),
+    "polytope m=7": (12, "aaf3d04e65eaae0e613588affd67d7e4ed6085a879529319791058651138c2ce"),
+    "qvalue m=7": (54, "533b23f64bad09e3d22c67a2b63098e25157b58c9fc26ba4156cd2ff5dd99a79"),
+    "polytope m=8": (12, "6db6cc28e8d373ac296e6e470323e9083bbe879e2227470c6c439a1ef66f495c"),
+    "qvalue m=8": (54, "1f53a982c9e03d4d3f3d8946459c73505276f031d7d96fcefaccaedd7180260f"),
+    "exact m=4": (24, "bb3a6ca5c6792061d890c6347296dd80a69158c87d0c617361d3d3df49708db8"),
+}
+
+
+def test_cli_output_is_pinned(tmp_path, capsys):
+    """sha256 of argv (profile paths by file name), exit code, stdout and stderr, per group."""
+    got = {}
+    for group, argvs in _pin_argvs(tmp_path).items():
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            shown = [a.replace(str(tmp_path), "<tmp>") for a in argv]
+            digest.update(repr((shown, code, captured.out, captured.err)).encode())
+        got[group] = (len(argvs), digest.hexdigest())
+    assert got == PINNED_CLI_OUTPUT

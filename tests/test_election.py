@@ -322,16 +322,16 @@ def test_module_caches_are_keyed_by_m_alone():
 
 
 # The functions that read is_rational, _is_exact, _close or TIE_TOL: every route a float rule,
-# float score or float margin can take in its own arithmetic.  The float scoreboard, tie test
-# and LP solves are pinned by bench/golden.json; the rest parse inputs or check float plans.
+# float score or float margin can take in its own arithmetic.  Each one is a route that
+# bench/golden.json pins: the float rule, its scoreboard and ties, its LP solves and its witness.
+# Every other reader (verify_plan, the margin readers) reads float inputs exactly.
 FLOAT_ROUTES = {
     "election._close", "election.ScoreVector.is_rational", "election.normalize",
     "election.three_candidate", "election.Scoreboard.mean", "election.scoreboard",
     "election.top_two",
-    "exact.verify_plan", "exact._unbounded_lp_value", "exact._integer_tables",
+    "exact._unbounded_lp_value", "exact._integer_tables",
     "lp.solve",
-    "reduction.MarginPair.scoreboard_valid", "reduction.optimal_vertex_set",
-    "reduction.closed_form_q", "reduction.witness_from_z",
+    "reduction.witness_from_z",
 }
 
 

@@ -564,18 +564,37 @@ def test_verifier_catches_tampering():
     assert any("only" in msg for msg in issues)
 
 
+def test_verify_plan_reports_non_finite_amounts():
+    for rule in (normalize((1.0, 0.6, 0.0)), borda(3)):
+        inst = ManipulationInstance.from_scores(rule, (10, 7, 6))
+        t = inst.first_types[0]
+        for bad in (math.nan, math.inf, -math.inf):
+            plan = CoalitionPlan({t: bad}, {t: bad})
+            issues = verify_plan(inst, plan, pool=inst.pref_types, ballots=inst.first_types)
+            assert issues == [f"non-finite amount {bad} for {t}"] * 2, (rule, bad)
+        plan = CoalitionPlan({t: 1}, {t: math.nan})
+        assert verify_integral_plan(inst, plan) == [f"non-finite amount nan for {t}"]
+
+
 def _candidate_rows_by_sigma(inst, plan, tol):
-    """verify_plan's candidate rows written out with sigma() and the rule's own weights."""
-    w, target, issues = inst.rule, inst.beta, []
+    """verify_plan's candidate rows written out with sigma() and the rule's own weights.
+
+    Amounts, weights, scores and tol are read with Fraction, so float inputs are exact.
+    """
+    target, issues = inst.beta, []
+
+    def score(t, c):
+        return Fraction(sigma(t, c, inst.rule))
+
     for alpha in range(inst.m):
         if alpha == target:
             continue
-        lhs = sum(amt * (1 - sigma(t, alpha, w)) for t, amt in plan.y.items())
+        lhs = sum(Fraction(amt) * (1 - score(t, alpha)) for t, amt in plan.y.items())
         lhs -= sum(
-            amt * (sigma(t, target, w) - sigma(t, alpha, w)) for t, amt in plan.x.items()
+            Fraction(amt) * (score(t, target) - score(t, alpha)) for t, amt in plan.x.items()
         )
-        rhs = inst.scores[alpha] - inst.scores[target]
-        if lhs - rhs < -tol:
+        rhs = Fraction(inst.scores[alpha]) - Fraction(inst.scores[target])
+        if lhs - rhs < -Fraction(tol):
             issues.append(f"candidate {alpha} stays ahead: {lhs} < {rhs}")
     return issues
 

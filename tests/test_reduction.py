@@ -89,6 +89,17 @@ def test_optimal_vertex_set():
     assert len(verts) == 3
 
 
+def test_margin_readers_read_floats_exactly():
+    """Float margins and p are read exactly, with no tie tolerance."""
+    # (3/2, 3/2) beats (0, 3/2) by 1.5e-10: a tie tolerance of 1e-9 would keep both
+    poly = mw_polytope(borda(4))
+    assert optimal_vertex_set(MarginPair(1e-10, 1.0), poly) == ((Fraction(3, 2), Fraction(3, 2)),)
+    assert MarginPair(1.0, -1.0).scoreboard_valid(4)
+    assert not MarginPair(1.0, -1.0 - 1e-12).scoreboard_valid(4)
+    q = closed_form_q("easy", MarginPair(3, 1), p=0.75)
+    assert (q, type(q)) == (Fraction(16, 3), Fraction)
+
+
 RULES_WITH_FAMILIES = [
     ("borda", borda(3), {"m": 3}),
     ("borda", borda(5), {"m": 5}),
@@ -540,6 +551,14 @@ def test_witness_reads_float_inputs_exactly():
     assert witness_from_z(inst, (-1e-10, 6.0)).x.keys() == witness_from_z(inst, (0, 6)).x.keys()
     with pytest.raises(ZInfeasible, match="negative"):
         witness_from_z(inst, (-1e-8, 6.0))
+
+
+def test_stratified_check_needs_m_minus_1_totals():
+    inst = ManipulationInstance.from_scores(borda(3), (10, 7, 6))
+    plan = witness_from_z(inst, (4, 2))
+    for z in ((1,), (4, 2, 0)):
+        with pytest.raises(ValueError, match=r"m-1 = 2 entries"):
+            verify_stratified_plan(inst, plan, z=z)
 
 
 def test_witness_needs_runner_up_target():
