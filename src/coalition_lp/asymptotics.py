@@ -12,7 +12,12 @@ decides the dominance partial order between rules.
 
 Sampling is chunked: chunk i draws from a generator seeded with
 SeedSequence((*seed, i)), so estimates do not depend on the worker count
-and are reproducible for a fixed seed.
+and are reproducible for a fixed seed.  The chunks, and the electorate
+sizes of a convergence experiment (each seeded on its own), run on the
+worker pool through _in_order.  Memory is bounded by a block or a batch,
+not by the sample count: a chunk's vertex max runs in BLOCK-row blocks, and
+each electorate size draws its profiles in batches of about CELLS
+ballot-type counts.
 """
 
 from __future__ import annotations
@@ -26,11 +31,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .election import MAX_CANDIDATES, InvalidInput, ScoreVector, _check_m, sample_scoreboards
+from .election import (
+    MAX_CANDIDATES, InvalidInput, ScoreVector, _check_m, sample_scoreboards, score_matrix,
+)
 from .reduction import Polytope2D, cone_optimal_vertices, mw_polytope
 
 CHUNK = 1 << 18
 BLOCK = 1 << 14  # rows per network pass: the m columns of a block stay in cache
+# Ballot-type counts a finite-n batch draws at once: 3 MB of int64.  Freeing a
+# batch lifts glibc's dynamic mmap threshold to 3 MB and its trim threshold to
+# 6 MB, above a curve chunk's working set; with 2 MB batches a later m = 8
+# curve faulted its pages back in on every call.
+CELLS = 3 << 17
+SLICE = 200_000  # profiles per slice of a finite-n sample; see _batch_sizes
 Z95 = 1.959963984540054
 
 
@@ -83,21 +96,24 @@ def sample_vw_batch(model: LimitModel, rng, size: int) -> np.ndarray:
 
     Only the cone-optimal vertices are evaluated: every other vertex attains
     the maximum on a set of margin directions of probability zero, and where
-    it ties a dot the dot gives the same value.
+    it ties a dot the dot gives the same value.  The vertex max runs block by
+    block, so its temporaries are BLOCK rows long whatever `size` is.
     """
-    top, second, zbar = _top_two_mean(rng, size, model.m)
     dots = model.scaled_vertices[list(model.dot_rows)]
-    return _vertex_max(top - zbar, zbar - second, dots, model.has_ray)
+    out = np.empty(size)
+    for lo, (top, second, zbar) in zip(range(0, size, BLOCK), _top_two_mean(rng, size, model.m)):
+        out[lo:lo + len(top)] = _vertex_max(top - zbar, zbar - second, dots, model.has_ray)
+    return out
 
 
 def _top_two_mean(rng, size, m):
-    """Rows (largest, second largest, mean) of `size` draws of m normals.
+    """Yield (largest, second largest, mean) of each BLOCK-row block of `size` draws of m normals.
 
-    Bit-equal to z[:, -1], z[:, -2] and z.mean(axis=1) of one sorted (size, m)
-    draw: the blocks consume the same stream, and a sorting network orders each
-    block's columns (past MAX_CANDIDATES numpy sorts and averages each block).
+    Joined, they are bit-equal to z[:, -1], z[:, -2] and z.mean(axis=1) of one
+    sorted (size, m) draw: the blocks consume the same stream, and a sorting
+    network orders each block's columns (past MAX_CANDIDATES numpy sorts and
+    averages each block).
     """
-    out = np.empty((3, size))
     network = _merge_exchange(m) if m <= MAX_CANDIDATES else None
     for lo in range(0, size, BLOCK):
         z = rng.standard_normal((min(BLOCK, size - lo), m))
@@ -114,8 +130,7 @@ def _top_two_mean(rng, size, m):
             # left to right below 8 values, a pairwise tree at 8
             zbar = (sum(c[1:], c[0]) if m < 8 else
                     ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))) / m
-        out[:, lo:lo + len(z)] = c[-1], c[-2], zbar
-    return out
+        yield c[-1], c[-2], zbar
 
 
 def _merge_exchange(m):
@@ -222,6 +237,15 @@ def resolve_threads(threads=None) -> int:
     return len(usable(0)) if usable else os.cpu_count() or 1
 
 
+def _in_order(threads, fn, *columns):
+    """list(map(fn, *columns)), run on up to `threads` worker threads; columns are sequences."""
+    workers = min(resolve_threads(threads), len(columns[0]))
+    if workers <= 1:
+        return list(map(fn, *columns))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *columns))
+
+
 def _chunked_sum(samples: int, seed, draw, threads):
     """Sum draw(rng, size) over fixed chunks of `samples`, in chunk order.
 
@@ -236,12 +260,7 @@ def _chunked_sum(samples: int, seed, draw, threads):
     def one_chunk(idx, size):
         return draw(np.random.default_rng(np.random.SeedSequence(base + (idx,))), size)
 
-    workers = min(resolve_threads(threads), len(sizes))
-    if workers <= 1:
-        results = list(map(one_chunk, range(len(sizes)), sizes))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chunk, range(len(sizes)), sizes))
+    results = _in_order(threads, one_chunk, range(len(sizes)), sizes)
     return sum(results[1:], results[0])
 
 
@@ -345,8 +364,7 @@ def plateau_probability(m: int, samples: int = 1_000_000, seed=0, threads=None):
         raise ValueError("need m >= 3")
 
     def draw(rng, size):
-        _, second, zbar = _top_two_mean(rng, size, m)
-        return int((second < zbar).sum())
+        return sum(int((second < zbar).sum()) for _, second, zbar in _top_two_mean(rng, size, m))
 
     p = _chunked_sum(samples, seed, draw, threads) / samples
     return p, _wilson_half_width(p, samples)
@@ -497,6 +515,21 @@ def convergence_from_csv(text: str):
     return meta, [ConvergencePoint(*row) for row in rows]
 
 
+def _batch_sizes(trials: int, rows: int):
+    """Cut each SLICE profiles of `trials` into batches of `rows`, the last taking the rest.
+
+    A batch's scores are one BLAS product, and a product of one row or of
+    under 10^6 multiply-adds may sum in another order (numpy's gemv,
+    OpenBLAS's small-matrix kernel).  No batch of a longer slice is shorter
+    than `rows`, which at CELLS counts is past that size at every m, so the
+    scores are those of one product per slice.
+    """
+    for lo in range(0, trials, SLICE):
+        size = min(SLICE, trials - lo)
+        full = max(size // rows, 1) - 1
+        yield from [rows] * full + [size - rows * full]
+
+
 def convergence_experiment(
     rule: ScoreVector,
     n_list,
@@ -510,7 +543,9 @@ def convergence_experiment(
 
     For each n, draws IC profiles, skips ties for first place, evaluates the
     two-variable dual on the margins, and reports the sup distance between
-    the empirical CDF on the grid and the Monte Carlo limit curve.
+    the empirical CDF on the grid and the Monte Carlo limit curve.  The n
+    values run on up to `threads` workers, each drawing its profiles in
+    batches of about CELLS ballot-type counts.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -520,17 +555,18 @@ def convergence_experiment(
         grid = DEFAULT_GRID
     grid = [float(v) for v in grid]
     limit = gw_curve(model, grid, limit_samples, seed, threads)
-    garr = np.asarray(grid)
+    garr, g_hat = np.asarray(grid), np.asarray(limit.g_hat)
     verts = np.array([[float(x), float(y)] for x, y in model.polytope.vertices])
     wbar = float(rule.mean)
-    out = []
-    for j, n in enumerate(n_list):
+    matrix = score_matrix(rule)
+    rows = CELLS // math.factorial(rule.m)
+
+    def one_size(j, n):
         rng = np.random.default_rng(np.random.SeedSequence(_seed_tuple(seed) + (7919, j)))
-        used = 0
-        unreachable = 0
+        used = unreachable = 0
         counts = np.zeros(len(grid), dtype=np.int64)
-        for done in range(0, trials, 200_000):
-            scores = sample_scoreboards(n, rule, min(trials - done, 200_000), rng)
+        for size in _batch_sizes(trials, rows):
+            scores = sample_scoreboards(n, rule, size, rng, matrix)
             scores.sort(axis=1)
             top, second = scores[:, -1], scores[:, -2]
             strict = top - second > 1e-9
@@ -539,6 +575,8 @@ def convergence_experiment(
             q = _vertex_max(a_margin, b_deficit, verts, model.has_ray)
             unreachable += int(np.isinf(q).sum())
             counts += _count_le(q / math.sqrt(n), garr)
-        ks = float(np.max(np.abs(counts / used - np.asarray(limit.g_hat)))) if used else math.nan
-        out.append(ConvergencePoint(int(n), ks, used, unreachable / used if used else math.nan))
-    return out
+        ks = float(np.max(np.abs(counts / used - g_hat))) if used else math.nan
+        return ConvergencePoint(int(n), ks, used, unreachable / used if used else math.nan)
+
+    n_list = list(n_list)
+    return _in_order(threads, one_size, range(len(n_list)), n_list)

@@ -243,9 +243,14 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
         issues.append(f"coalition size mismatch: recruits {Fraction(xs, den)}, "
                       f"ballots {Fraction(ys, den)}")
     if strata_z is not None:
+        # t lies in stratum p[b] when a sits right below b in it (_type_sets)
         zs, zden = lp.lcd_ints(strata_z)
-        for i, stratum in enumerate(inst.strata):
-            got = sum(x.get(t, 0) for t in stratum)
+        sums, places, a, b = [0] * len(inst.strata), _type_maps(inst.m)[1], inst.a, inst.b
+        for t, amt in x.items():
+            p = places.get(t)
+            if p and p[a] == p[b] + 1:
+                sums[p[b]] += amt
+        for i, got in enumerate(sums):
             if missed(-abs(got * zden - zs[i] * den), den * zden):
                 got = Fraction(got, den)
                 issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 
 from coalition_lp import asymptotics
 from coalition_lp.election import (
-    MTooLarge, antiplurality, borda, k_approval, normalize, plurality, three_candidate,
+    MTooLarge, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
+    score_matrix, three_candidate, type_scores,
 )
 from coalition_lp.asymptotics import (
-    BLOCK, CHUNK, DEFAULT_GRID, GridTooCoarse, Verdict, _merge_exchange, _top_two_mean,
+    BLOCK, CELLS, CHUNK, DEFAULT_GRID, SLICE, GridTooCoarse, Verdict, _batch_sizes,
+    _merge_exchange, _top_two_mean,
     convergence_experiment, convergence_from_csv, convergence_to_csv, curve_from_csv,
     curve_to_csv, dominates, gap_cdf, gw_curve, isotonic, limit_model, plateau_probability,
     resolve_threads, sample_vw, sample_vw_batch, vw_from_z,
@@ -157,9 +160,11 @@ def sorted_draw(seed, size, m):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9, 12])
 def test_top_two_mean_is_sort_and_mean(m):
-    # the network-sorted blocks and their column sums must equal numpy to the last bit
+    # the network-sorted blocks and their column sums, joined, must equal numpy to the last bit
     for size in (1, BLOCK - 1, BLOCK + 1, CHUNK + 20_000):
-        top, second, zbar = _top_two_mean(np.random.default_rng(m + size), size, m)
+        blocks = list(_top_two_mean(np.random.default_rng(m + size), size, m))
+        assert [len(top) for top, _, _ in blocks] == [BLOCK] * (size // BLOCK) + [size % BLOCK]
+        top, second, zbar = (np.concatenate(column) for column in zip(*blocks))
         z = sorted_draw(m + size, size, m)
         assert np.array_equal(top, z[:, -1])
         assert np.array_equal(second, z[:, -2])
@@ -348,6 +353,93 @@ def test_convergence_experiment():
     anti = convergence_experiment(antiplurality(3), [400], trials=10_000,
                                   seed=4, limit_samples=200_000)
     assert 0.3 < anti[0].unreachable_fraction < 0.7
+
+
+def test_convergence_independent_of_threads_and_joins_its_workers():
+    before = threading.active_count()
+    runs = [convergence_experiment(borda(4), [30, 200, 1000], trials=3_000, seed=6,
+                                   limit_samples=20_000, threads=threads) for threads in (1, 2, 5)]
+    assert threading.active_count() == before
+    assert runs[0] == runs[1] == runs[2]
+    assert [p.n for p in runs[0]] == [30, 200, 1000]
+
+
+# sha256 of convergence_to_csv (seed 11, 40,000 limit draws) at threads 1 and 2, recorded
+# when every 200,000 profiles were drawn at once; the trials fill no whole number of batches
+PINNED_CONVERGENCE = {
+    ("borda", 3): ((50, 1001), 180_001,
+                   "78d000d255e786bee50c5a1d28a8ffb187438b8208f32e9012c67116cc5be59c"),
+    ("weights:1,5/6,1/3,1/4,0", 5): ((40, 333), 9_001,
+                                     "a0b6b8073dea0f05ded449f6af51d7fef0827d2f47cfc054f96fa0af5af28fef"),
+    ("borda", 7): ((60,), 3_001,
+                   "80c8e8bebff9d76e16ff82cef72d63d2c6a33e010e25339c884ea843ddab4bde"),
+}
+
+
+@pytest.mark.parametrize("label,m", PINNED_CONVERGENCE, ids=str)
+def test_convergence_bytes_are_pinned(label, m):
+    n_list, trials, digest = PINNED_CONVERGENCE[label, m]
+    rule = parse_rule(label, m)
+    assert trials % (CELLS // math.factorial(m))
+    for threads in (1, 2):
+        points = convergence_experiment(rule, n_list, trials, seed=11, limit_samples=40_000,
+                                        threads=threads)
+        text = convergence_to_csv(points, label, m, 11, trials)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_batches_never_end_a_long_slice_short():
+    """Every profile is drawn once; a slice longer than a batch keeps its batches full-sized."""
+    for trials, rows in ((1, 13), (12, 13), (13, 13), (27, 13), (SLICE + 2, 13),
+                         (2 * SLICE + 87_383, 87_381), (3_001, 104)):
+        sizes = list(_batch_sizes(trials, rows))
+        assert sum(sizes) == trials and all(0 < size < 2 * rows for size in sizes)
+        for lo in range(0, trials, SLICE):
+            cut, total = [], 0
+            while total < min(SLICE, trials - lo):
+                cut.append(sizes.pop(0))
+                total += cut[-1]
+            assert total == min(SLICE, trials - lo)
+            assert len(cut) == 1 or min(cut) >= rows
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_batched_scores_equal_one_product_per_slice(m):
+    """A rule whose scores are not dyadic, scored batch by batch, to the last bit."""
+    weights = [1, Fraction(6, 7), Fraction(3, 7), Fraction(2, 7), Fraction(1, 7), Fraction(1, 9),
+               Fraction(1, 11)][:m - 1]
+    matrix = score_matrix(normalize([*weights, 0]))
+    fact = math.factorial(m)
+    rows = CELLS // fact
+    counts = np.random.default_rng(m).multinomial(50 * m, np.full(fact, 1 / fact), size=2 * rows + 1)
+    counts = counts.astype(float)
+    cuts = np.cumsum([0, *_batch_sizes(len(counts), rows)])
+    batched = np.concatenate([counts[lo:hi] @ matrix for lo, hi in zip(cuts, cuts[1:])])
+    assert np.array_equal(batched, counts @ matrix)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_is_bounded_per_block_and_batch():
+    """Traced peaks stay below what one chunk's or one trial set's arrays would take.
+
+    Drawing a chunk's vertex max at once peaked at 28 MB, and all 2,000 m = 7
+    profiles at once at 154 MB; blocks and batches take ~7 and ~11 MB.
+    """
+    model, rule = limit_model(borda(3)), borda(7)
+    type_scores(rule), limit_model(rule)  # tables kept with the rule and its weights
+    two_chunks = _traced_peak(lambda: gw_curve(model, DEFAULT_GRID, 2 * CHUNK, seed=1, threads=2))
+    assert two_chunks < 12 * 2**20, two_chunks
+    m7 = _traced_peak(lambda: convergence_experiment(rule, (50,), 2_000,
+                                                     limit_samples=20_000, threads=1))
+    assert m7 < 16 * 2**20, m7
 
 
 def test_convergence_checks_m_before_the_limit_curve(monkeypatch):

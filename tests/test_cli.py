@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -111,6 +112,21 @@ def test_converge_command(tmp_path):
     assert meta["m"] == 3
     assert [p.n for p in pts] == [100, 1000]
     assert pts[1].ks <= pts[0].ks + 0.05
+
+
+def test_converge_at_m8_stays_small(tmp_path):
+    """m = 8 draws 40,320 type counts a profile; 200 profiles at once traced ~123 MB."""
+    out = tmp_path / "conv.csv"
+    tracemalloc.start()
+    try:
+        assert main(["converge", "--rule", "borda", "--m", "8", "--n-list", "80", "--trials", "200",
+                     "--limit-samples", "10000", "--threads", "2", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
+    meta, (point,) = convergence_from_csv(out.read_text())
+    assert meta["m"] == 8 and point.n == 80 and 0 < point.trials_used <= 200
 
 
 def test_qvalue_command(capsys):

@@ -12,7 +12,7 @@ from coalition_lp.election import (
     sample_ic, scoreboard, three_candidate, top_two,
 )
 from coalition_lp.exact import (
-    ManipulationInstance, q3, q_program2, verify_stratified_plan,
+    CoalitionPlan, ManipulationInstance, q3, q_program2, verify_stratified_plan,
 )
 from coalition_lp.reduction import (
     ConstructionFailed, MarginPair, ParamOutOfRange, Polytope2D, UnknownFamily,
@@ -559,6 +559,28 @@ def test_stratified_check_needs_m_minus_1_totals():
     for z in ((1,), (4, 2, 0)):
         with pytest.raises(ValueError, match=r"m-1 = 2 entries"):
             verify_stratified_plan(inst, plan, z=z)
+
+
+def test_stratum_sums_count_each_recruit_in_its_own_stratum():
+    """Recruits moved into stratum 1, into the last one and outside them all: each stratum sums
+    only its own recruits, word for word as a walk over inst.strata reports them."""
+    rule, board = borda(5), (40, 33, 31, 30, 26)
+    inst = ManipulationInstance.from_scores(rule, board)
+    _value, z = q_stratified(MarginPair.from_scoreboard(scoreboard_like(board)), rule)
+    plan = witness_from_z(inst, z)
+    assert verify_stratified_plan(inst, plan, z) == []
+    outside = next(t for t in inst.pref_types if t not in inst.ba_types)
+    extra = {inst.strata[0][-1]: Fraction(1, 3), inst.strata[-1][0]: Fraction(5, 2), outside: 7}
+    x = dict(plan.x)
+    for t, amt in extra.items():
+        x[t] = x.get(t, 0) + amt
+    walked = [f"stratum {i + 1} sums to {got}, expected {z[i]}"
+              for i, stratum in enumerate(inst.strata)
+              if (got := sum(Fraction(x.get(t, 0)) for t in stratum)) != z[i]]
+    issues = verify_stratified_plan(inst, CoalitionPlan(x, plan.y), z)
+    assert [s for s in issues if s.startswith("stratum")] == walked
+    assert [s.split(" sums")[0] for s in walked] == ["stratum 1", f"stratum {rule.m - 1}"]
+    assert f"recruit type {outside} outside the allowed pool" in issues
 
 
 def test_witness_needs_runner_up_target():
