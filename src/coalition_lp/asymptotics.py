@@ -37,11 +37,15 @@ from .election import (
 from .reduction import Polytope2D, cone_optimal_vertices, mw_polytope
 
 CHUNK = 1 << 18
-BLOCK = 1 << 14  # rows per network pass: the m columns of a block stay in cache
-# Ballot-type counts a finite-n batch draws at once: 3 MB of int64.  Freeing a
-# batch lifts glibc's dynamic mmap threshold to 3 MB and its trim threshold to
-# 6 MB, above a curve chunk's working set; with 2 MB batches a later m = 8
-# curve faulted its pages back in on every call.
+# Rows per network pass: the m columns of a block stay in cache.  Freeing a
+# chunk's 2 MB value array lifts glibc's trim threshold to 4 MB.  At 2^13 rows
+# what a chunk frees stays below it, so glibc keeps those pages for the next
+# chunk; at 2^14 rows (m = 8) it trims them, and every call faults them back in.
+BLOCK = 1 << 13
+# Ballot-type counts a finite-n batch draws at once: 3 MB of int64.  A batch's
+# scores are one product of about CELLS counts by m candidates, and OpenBLAS
+# keeps one summation order only from 10^6 multiply-adds up; at m = 3 that takes
+# at least 333,334 counts.
 CELLS = 3 << 17
 SLICE = 200_000  # profiles per slice of a finite-n sample; see _batch_sizes
 Z95 = 1.959963984540054
@@ -338,19 +342,20 @@ def curve_from_csv(text: str):
 def gap_cdf(x, m: int):
     """P(top-two gap of m iid standard normals <= x), by quadrature.
 
-    The tail is m * integral of phi(s) * Phi(s - x)^(m-1) ds: the maximum
-    sits at s and the other m-1 draws stay below s - x.  For a rule with a
-    coefficient form, g_w(v) = gap_cdf(v / c_w, m) exactly, which makes
+    The tail is m * integral of phi(t + x) * Phi(t)^(m-1) dt: the maximum
+    sits at t + x and the other m-1 draws stay below t.  Phi is taken once
+    per call on the fixed t grid, so each x costs one exp.  For a rule with
+    a coefficient form, g_w(v) = gap_cdf(v / c_w, m) exactly, which makes
     this an independent check on the Monte Carlo curves.
     """
-    from scipy.special import ndtr
-
-    s = np.linspace(-12.0, 12.0, 20001)
-    phi = np.exp(-0.5 * s * s) / math.sqrt(2 * math.pi)
+    t = np.linspace(-12.0, 12.0, 20001)
+    below = np.fromiter((math.erfc(-v / math.sqrt(2)) / 2 for v in t.tolist()), float, len(t))
+    weight = below ** (m - 1) * (m / math.sqrt(2 * math.pi))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(xs.shape)
     for i, xi in enumerate(xs):
-        out[i] = 1.0 - m * np.trapezoid(phi * ndtr(s - xi) ** (m - 1), s)
+        u = t + xi
+        out[i] = 1.0 - np.trapezoid(np.exp(-0.5 * u * u) * weight, t)
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 

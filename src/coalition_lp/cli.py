@@ -5,6 +5,9 @@ by a fixed counter scheme: curve chunks use SeedSequence((seed, chunk)),
 `compare` prefixes its two curves with (seed, 271) and (seed, 577), and
 `converge` draws size-n batches from (seed, 7919, index of n).  Output is
 byte-identical for identical flags and does not depend on --threads.
+
+Only the sampling commands (`gw`, `compare`, `converge`) import asymptotics,
+and with it numpy; the others run on the standard library.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import asymptotics, lp, reduction
+from . import lp, reduction
 from .election import InvalidInput, Profile, parse_rule
 from .exact import InstanceTooLarge, NotStrictWinner, mcs_outcome
 
@@ -84,6 +87,8 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_gw(args) -> int:
+    from . import asymptotics
+
     rule = parse_rule(args.rule, args.m)
     model = asymptotics.limit_model(rule)
     grid = parse_grid(args.grid)
@@ -93,6 +98,8 @@ def cmd_gw(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import asymptotics
+
     rule_a = parse_rule(args.rule_a, args.m)
     rule_b = parse_rule(args.rule_b, args.m)
     grid = parse_grid(args.grid) if args.grid else None
@@ -131,6 +138,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from . import asymptotics
+
     rule = parse_rule(args.rule, args.m)
     n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
     if not n_list or any(n <= 0 for n in n_list):

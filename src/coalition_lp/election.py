@@ -22,10 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lp import lcd_ints
+
+if TYPE_CHECKING:
+    import numpy as np  # imported where it is used, by the sampling functions alone
 
 TIE_TOL = 1e-9
 
@@ -405,6 +407,8 @@ def top_two(board: Scoreboard):
 
 def score_matrix(rule: ScoreVector) -> np.ndarray:
     """Dense (m!, m) float matrix: entry [t, c] is the score ballot type t gives candidate c."""
+    import numpy as np
+
     scale, rows = type_scores(rule)
     # int / int rounds once, as float(Fraction) does, also past 2**53; fromiter
     # builds no list of m! * m floats (16 MB at m = 8 for a 2.6 MB matrix)
@@ -418,6 +422,8 @@ def score_matrix(rule: ScoreVector) -> np.ndarray:
 
 def sample_ic(n: int, m: int, seed) -> Profile:
     """Draw one impartial-culture profile: n voters iid uniform over the m! types."""
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_m(m)
@@ -433,6 +439,8 @@ def sample_scoreboards(n: int, rule: ScoreVector, trials: int, rng, matrix=None)
     A caller that samples in batches passes score_matrix(rule) as `matrix`,
     so it is built once.
     """
+    import numpy as np
+
     _check_m(rule.m)
     fact = math.factorial(rule.m)
     matrix = score_matrix(rule) if matrix is None else matrix

@@ -3,9 +3,13 @@ import hashlib
 import itertools
 import math
 import os
+import platform
+import subprocess
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,82 @@ def test_gw_curve_two_approval_quadrature():
     curve = gw_curve(model, [1.0], 400_000, seed=12)
     assert gap_cdf(1.0 / model.c_w, 4) == pytest.approx(0.926559, abs=2e-4)
     assert curve.g_hat[0] == pytest.approx(0.926559, abs=0.004)
+
+
+GAP_GRID = [0.05 * i for i in range(121)]
+
+
+def test_gap_cdf_of_two_is_erf():
+    # the top-two gap of two normals is |Z1 - Z2|, and Z1 - Z2 ~ N(0, 2)
+    for x, g in zip(GAP_GRID, gap_cdf(GAP_GRID, 2)):
+        assert g == pytest.approx(math.erf(x / 2), abs=1e-9)
+        assert gap_cdf(x, 2) == g
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_gap_cdf_matches_the_quadrature_in_s(m):
+    """The integral in s = t + x, on the s grid, with scipy's normal CDF."""
+    from scipy.special import ndtr
+
+    s = np.linspace(-12.0, 12.0, 20001)
+    phi = np.exp(-0.5 * s * s) / math.sqrt(2 * math.pi)
+    want = [1.0 - m * np.trapezoid(phi * ndtr(s - x) ** (m - 1), s) for x in GAP_GRID]
+    assert np.max(np.abs(gap_cdf(GAP_GRID, m) - want)) < 1e-12
+
+
+BLOCK_RULES = {3: three_candidate(Fraction(1, 3)), 5: antiplurality(5), 8: borda(8)}
+
+
+@pytest.mark.parametrize("m", sorted(BLOCK_RULES))
+def test_block_size_moves_no_bit(m, monkeypatch):
+    """Curves, plateaus and raw draws are the same bytes at 2^12, 2^13 and 2^14-row blocks."""
+    model = limit_model(BLOCK_RULES[m])
+    samples = CHUNK + 12_345  # the last chunk is not a whole number of blocks of any size
+    outputs = []
+    for block in (1 << 12, 1 << 13, 1 << 14):
+        monkeypatch.setattr(asymptotics, "BLOCK", block)
+        curve = gw_curve(model, DEFAULT_GRID, samples, seed=(6, m), threads=2)
+        draws = sample_vw_batch(model, np.random.default_rng(m), 3 * (1 << 14) + 77)
+        outputs.append((curve_to_csv(curve, "rule", m, 6), plateau_probability(m, samples, 6, 2),
+                        draws.tobytes()))
+    assert np.isinf(np.frombuffer(outputs[0][2])).any() == (m == 5)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Prints the minor page faults of four 2^19-draw curves in a row.  Between calls
+# it waits until the last call's workers have left the process: a worker that is
+# still exiting holds its malloc arena, and a new worker would fault in a fresh one.
+FAULTS_PER_CURVE = """
+import os, resource, sys, time
+from coalition_lp.asymptotics import DEFAULT_GRID, gw_curve, limit_model
+from coalition_lp.election import parse_rule
+model = limit_model(parse_rule(sys.argv[1], int(sys.argv[2])))
+tasks = len(os.listdir("/proc/self/task"))
+for i in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    gw_curve(model, DEFAULT_GRID, 1 << 19, (3, i), int(sys.argv[3]))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    while len(os.listdir("/proc/self/task")) > tasks:
+        time.sleep(0.001)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults that glibc's malloc thresholds cause")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("rule,m", [("plurality", 4), ("borda", 8)])
+def test_curve_chunks_reuse_their_pages(rule, m, threads):
+    """In a fresh process, later curves reuse the pages of earlier ones.
+
+    With 2^14-row blocks the 3rd and 4th calls faulted ~1,000-2,800 pages each
+    (plurality(4) at 2 threads, borda(8) at both); at 2^13 rows they fault a few.
+    """
+    src = str(Path(asymptotics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_CURVE, rule, str(m), str(threads)],
+                          env=env, capture_output=True, text=True, check=True)
+    faults = [int(line) for line in done.stdout.split()]
+    assert max(faults[2:]) < 200, faults
 
 
 def test_gw_curve_deterministic_across_threads():
@@ -431,7 +511,8 @@ def test_monte_carlo_memory_is_bounded_per_block_and_batch():
     """Traced peaks stay below what one chunk's or one trial set's arrays would take.
 
     Drawing a chunk's vertex max at once peaked at 28 MB, and all 2,000 m = 7
-    profiles at once at 154 MB; blocks and batches take ~7 and ~11 MB.
+    profiles at once at 154 MB; 2^13-row blocks and batches of CELLS counts
+    take ~6.3 and ~10.1 MB (~8.2 MB with 2^14-row blocks).
     """
     model, rule = limit_model(borda(3)), borda(7)
     type_scores(rule), limit_model(rule)  # tables kept with the rule and its weights

@@ -1,11 +1,17 @@
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import coalition_lp
 from coalition_lp import asymptotics, lp
 from coalition_lp.asymptotics import curve_from_csv, convergence_from_csv
 from coalition_lp.cli import main, parse_grid
@@ -162,6 +168,56 @@ def test_numerical_exit_code(monkeypatch, capsys):
     assert main(["gw", "--rule", "borda", "--m", "3", "--samples", "20000"]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err
+
+
+# Runs main on each argv of a JSON list, then prints which of numpy and scipy are loaded.
+LOADED_AFTER = """
+import json, sys
+from coalition_lp.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})))
+"""
+
+
+def _loaded_after(argvs):
+    src = str(Path(coalition_lp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    prof = tmp_path / "tiny.json"
+    prof.write_text(TINY)
+    exact_paths = [["exact", "--profile", str(prof), "--rule", "plurality"],
+                   ["polytope", "--rule", "borda", "--m", "6"],
+                   ["qvalue", "--rule", "borda", "--m", "4", "--margins", "3,1"]]
+    assert _loaded_after(exact_paths) == []
+    sampling = [["gw", "--rule", "borda", "--m", "3", "--samples", "20000"],
+                ["compare", "--rule-a", "weights:1,0.7,0", "--rule-b", "antiplurality",
+                 "--m", "3", "--samples", "20000"],
+                ["converge", "--rule", "borda", "--m", "3", "--n-list", "50", "--trials", "200",
+                 "--limit-samples", "20000"]]
+    assert _loaded_after(sampling) == ["numpy"]
+
+
+def test_public_names_are_served_from_their_modules():
+    from coalition_lp import gw_curve
+
+    assert gw_curve is asymptotics.gw_curve and coalition_lp.gap_cdf is asymptotics.gap_cdf
+    names = coalition_lp.__all__
+    assert len(names) == len(set(names)) == 58
+    for name in names:
+        home = importlib.import_module(f"coalition_lp.{coalition_lp._HOME[name]}")
+        assert getattr(coalition_lp, name) is getattr(home, name)
+    star = {}
+    exec("from coalition_lp import *", star)
+    assert star.keys() - {"__builtins__"} == set(names)
+    assert coalition_lp.reduction is importlib.import_module("coalition_lp.reduction")
+    with pytest.raises(AttributeError):
+        coalition_lp.no_such_name
 
 
 def test_malformed_profile_json(tmp_path):
