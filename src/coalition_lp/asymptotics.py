@@ -395,6 +395,13 @@ class DominanceReport:
     notes: str
 
 
+def _verdict(wins, losses) -> Verdict:
+    """rule_a's verdict from whether it is ever less manipulable (wins) and ever more (losses)."""
+    if wins:
+        return Verdict.INCOMPARABLE if losses else Verdict.DOMINATES
+    return Verdict.DOMINATED_BY if losses else Verdict.INDISTINGUISHABLE
+
+
 DEFAULT_GRID = tuple(round(0.05 * i, 10) for i in range(51))
 
 
@@ -423,14 +430,8 @@ def dominates(
     b = limit_model(rule_b)
 
     if a.c_w is not None and b.c_w is not None:
-        if a.diag_coeff_sq > b.diag_coeff_sq:
-            verdict = Verdict.DOMINATES
-        elif a.diag_coeff_sq < b.diag_coeff_sq:
-            verdict = Verdict.DOMINATED_BY
-        else:
-            verdict = Verdict.INDISTINGUISHABLE
         return DominanceReport(
-            verdict,
+            _verdict(a.diag_coeff_sq > b.diag_coeff_sq, a.diag_coeff_sq < b.diag_coeff_sq),
             "analytic-coefficient",
             a.c_w,
             b.c_w,
@@ -475,16 +476,8 @@ def dominates(
             below += 1
         elif ga - ha > gb + hb:
             above += 1
-    if below and not above:
-        verdict = Verdict.DOMINATES
-    elif above and not below:
-        verdict = Verdict.DOMINATED_BY
-    elif above and below:
-        verdict = Verdict.INCOMPARABLE
-    else:
-        verdict = Verdict.INDISTINGUISHABLE
     return DominanceReport(
-        verdict,
+        _verdict(below, above),
         "monte-carlo",
         None,
         None,

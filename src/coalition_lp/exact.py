@@ -45,9 +45,13 @@ only through its score row, so types with equal rows are interchangeable
 (Margot, "Symmetry in integer linear programming", 2010): it recruits from
 score classes, one per distinct row with the members' counts summed, and
 casts one ballot per distinct row (_score_classes, built once per rule for
-each (a, beta) and ballot set).  At each k it walks class multisets depth
-first and, at each leaf, looks for k target-first ballots that fit every
-candidate's cap.  Every node checks a score bound first: if even the most
+each (a, beta) and ballot set).  A class carries its gains, how far one
+recruit narrows each other candidate's lead over beta, and a ballot its
+loads, the score it gives each other candidate.  At each k the search walks
+class multisets depth first on the m - 1 leads over beta, a take lowering
+them by the take times the class's gains, and at each leaf looks for k
+target-first ballots whose loads fit every candidate's cap, the room its
+lead leaves.  Every node checks a score bound first: if even the most
 helpful recruits still to come, followed by the least loading ballots,
 leave some candidate (or all of them together) over their cap, the subtree
 is cut.  Only subtrees without a working leaf are cut, so the plan found is
@@ -333,21 +337,27 @@ def _score_classes(rule, a, beta, unrestricted):
 
     The search reads a type only through its score row, so types with equal
     rows are interchangeable.  classes maps the first type of each distinct
-    row among those ranking beta above a to (types, indices): every type
-    with that row and its index, in all_rankings order; classes go in the
-    order of their first types.
-    ballots holds, of each distinct row among the types ranking beta first
-    (every type when unrestricted), the last type holding it, in that order.
+    row among those ranking beta above a to (types, indices, gains): every
+    type with that row and its index, in all_rankings order, and how far one
+    recruit narrows each other candidate's lead over beta, row[c] - row[beta];
+    classes go in the order of their first types.  ballots holds, of each
+    distinct row among the types ranking beta first (every type when
+    unrestricted), (the last type holding it, its loads row[c]), in that
+    order.  gains and loads run over c != beta in label order.
     """
     ranks = _type_maps(rule.m)[0]
     rows = type_scores(rule)[1]
     pref, first, _, _ = _type_sets(rule.m, a, beta, beta)
+    others = [c for c in range(rule.m) if c != beta]
     members = {}
     for t in pref:
         members.setdefault(rows[t], []).append(t)
-    classes = {types[0]: (tuple(types), tuple(map(ranks.get, types))) for types in members.values()}
+    classes = {types[0]: (tuple(types), tuple(map(ranks.get, types)),
+                          tuple(row[c] - row[beta] for c in others))
+               for row, types in members.items()}
     last = {rows[t]: t for t in (ranks if unrestricted else first)}
-    return classes, tuple(sorted(last.values(), key=ranks.get))
+    return classes, tuple((t, tuple(rows[t][c] for c in others))
+                          for t in sorted(last.values(), key=ranks.get))
 
 
 def _lp_value(program: lp.LinearProgram):
@@ -540,12 +550,16 @@ def q_program2(profile: Profile, rule: ScoreVector):
 # --------------------------------------------------------------------- #
 
 def _integer_tables(inst):
-    """Scale every score by the lcm of weight denominators so the search is pure int."""
+    """(scale, leads) of the pure-int search.
+
+    scale is the lcm of the weights' denominators, and leads holds each other
+    candidate's lead over the target times scale, in label order.
+    """
     if not inst.rule.is_rational:
         raise ValueError("the exact search needs a rational rule")
-    scale, sig = type_scores(inst.rule)
+    scale = type_scores(inst.rule)[0]
     base = [s.numerator * scale // s.denominator for s in inst.scores]
-    return scale, sig, base
+    return scale, [d - base[inst.beta] for c, d in enumerate(base) if c != inst.beta]
 
 
 class _Budget:
@@ -561,36 +575,26 @@ class _Budget:
             raise InstanceTooLarge(f"search exceeded the {self.total}-node budget")
 
 
-def _ballot_search(k, ballots, sig, caps, target, m, budget):
-    """[(type, count > 0), ...] for k ballots that keep every candidate within caps, or None."""
+def _ballot_search(k, ballots, caps, budget):
+    """[(type, count > 0), ...] for k ballots whose loads stay within caps, or None."""
 
     def rec(idx, remaining, totals):
         budget.spend()
-        t = ballots[idx]
-        row = sig[t]
+        t, loads = ballots[idx]
         if idx == len(ballots) - 1:
-            for c in range(m):
-                if c != target and totals[c] + remaining * row[c] > caps[c]:
-                    return None
+            if any(x + remaining * load > cap for x, load, cap in zip(totals, loads, caps)):
+                return None
             return [(t, remaining)] if remaining else []
         for take in range(remaining + 1):
-            new = list(totals)
-            ok = True
-            for c in range(m):
-                if c == target:
-                    continue
-                new[c] = totals[c] + take * row[c]
-                if new[c] > caps[c]:
-                    ok = False
-                    break
-            if not ok:
+            new = [x + take * load for x, load in zip(totals, loads)]
+            if any(x > cap for x, cap in zip(new, caps)):
                 break  # larger takes only add more score
             rest = rec(idx + 1, remaining - take, new)
             if rest is not None:
                 return ([(t, take)] + rest) if take else rest
         return None
 
-    return rec(0, k, [0] * m)
+    return rec(0, k, [0] * len(caps))
 
 
 def _suffix_max(values):
@@ -598,73 +602,57 @@ def _suffix_max(values):
     return [*accumulate(reversed(values), max)][::-1]
 
 
-def _bound_tables(pool, ballots, sig, target, m):
+def _bound_tables(pool, ballots):
     """Per-node bound tables of the recruit search; they depend on the target, not on k.
 
-    gain g_t(c) = sig[t][c] - sig[t][target] is how far recruiting one voter
-    of type t narrows c's lead over the target.  maxg[idx] holds max_t g_t(c)
-    over pool[idx:] for each other candidate c, maxagg[idx] the max of
-    sum_c g_t(c); the entry past the end is 0 (no recruits left).  From the
-    ballots: minload, the least score any ballot gives each c, and minagg,
-    the least total any ballot gives the other candidates.
+    maxg[idx] holds the largest gain over pool[idx:] for each other candidate,
+    maxagg[idx] the largest sum of an entry's gains; the entry past the end is
+    0 (no recruits left).  From the ballots: minload, the least load any
+    ballot gives each other candidate, and minagg, the least sum of a
+    ballot's loads.
     """
-    others = tuple(c for c in range(m) if c != target)
-    pool_cols = [*zip(*(sig[t] for t, _ in pool))]  # pool_cols[c][j]: c's score on pool[j]
-    gains = [[x - y for x, y in zip(pool_cols[c], pool_cols[target])] for c in others]
-    maxg = [*zip(*map(_suffix_max, gains)), (0,) * len(others)]
-    maxagg = _suffix_max([sum(g) for g in zip(*gains)]) + [0]
-    ballot_cols = [*zip(*(sig[t] for t in ballots))]
-    minload = [min(ballot_cols[c]) for c in others]
-    minagg = min(sum(sig[t]) - sig[t][target] for t in ballots)
-    return others, maxg, maxagg, minload, minagg
+    gains = [g for _, _, g in pool]
+    maxg = [*zip(*map(_suffix_max, zip(*gains))), (0,) * len(gains[0])]
+    maxagg = _suffix_max([*map(sum, gains)]) + [0]
+    loads = [load for _, load in ballots]
+    return maxg, maxagg, [*map(min, zip(*loads))], min(map(sum, loads))
 
 
-def _search_at_size(k, inst, pool, ballots, sig, base, scale, budget, strict_win, tables):
-    """Find a size-k CoalitionPlan, or None.  pool entries are (type, available count).
+def _search_at_size(k, pool, ballots, leads, scale, budget, strict_win, tables):
+    """Find a size-k CoalitionPlan, or None.  pool entries are (type, available count, gains).
 
-    A node (idx, remaining, removed) is cut when no leaf below it can pass.
-    With D_c the lead of c over the target and room = scale*k, less 1 for a
+    A node (idx, remaining, leads) carries D_c, each other candidate's lead
+    over the target; taking a recruit lowers each D_c by its gain.  The node
+    is cut when no leaf below it can pass.  With room = scale*k, less 1 for a
     strict win, a leaf needs D_c <= room - k*minload[c] for every c and
     sum_c D_c <= (m-1)*room - k*minagg; the remaining recruits lower D_c by
     at most remaining*maxg[idx][c], and the sum by remaining*maxagg[idx].
     """
-    m = inst.m
-    target = inst.beta
-    others, maxg, maxagg, minload, minagg = tables
+    maxg, maxagg, minload, minagg = tables
     room = scale * k - (1 if strict_win else 0)
     limits = [room - k * load for load in minload]
-    agg_limit = (m - 1) * room - k * minagg
+    agg_limit = len(leads) * room - k * minagg
+    last = len(pool) - 1
 
-    def rec(idx, remaining, removed):
+    def rec(idx, remaining, leads):
         budget.spend()
-        if idx == len(pool) and remaining:
-            return None
-        lead = base[target] - removed[target]
-        leads = [base[c] - removed[c] - lead for c in others]
         for d, g, limit in zip(leads, maxg[idx], limits):
             if d - remaining * g > limit:
                 return None
         if sum(leads) - remaining * maxagg[idx] > agg_limit:
             return None
-        if idx == len(pool):
-            caps = [0] * m
-            for c, d in zip(others, leads):
-                caps[c] = room - d
-            cast = _ballot_search(k, ballots, sig, caps, target, m, budget)
+        if idx > last:
+            cast = _ballot_search(k, ballots, [room - d for d in leads], budget)
             return None if cast is None else CoalitionPlan(x={}, y=dict(cast))
-        t, avail = pool[idx]
-        row = sig[t]
-        top = min(avail, remaining)
-        for take in range(top + 1):
-            if idx == len(pool) - 1 and take != remaining:
-                continue
-            new_removed = [removed[c] + take * row[c] for c in range(m)]
-            plan = rec(idx + 1, remaining - take, new_removed)
+        t, avail, gains = pool[idx]
+        top = min(avail, remaining)  # the last entry takes all that remains, if it holds that many
+        for take in range(top + 1) if idx < last else [remaining] * (top == remaining):
+            plan = rec(idx + 1, remaining - take, [d - take * g for d, g in zip(leads, gains)])
             if plan is not None:
                 return CoalitionPlan(x={t: take, **plan.x}, y=plan.y) if take else plan
         return None
 
-    return rec(0, k, [0] * m)
+    return rec(0, k, leads)
 
 
 def _search(inst, lower, kmax, budget, strict_win, unrestricted):
@@ -674,23 +662,20 @@ def _search(inst, lower, kmax, budget, strict_win, unrestricted):
     """
     if lower is math.inf:
         return None
-    scale, sig, base = _integer_tables(inst)
+    scale, leads = _integer_tables(inst)
     classes, ballots = _score_classes(inst.rule, inst.a, inst.beta, unrestricted)
     counts = inst.profile.counts
-    pool = [(rep, avail) for rep, (_, indices) in classes.items()
+    pool = [(rep, avail, gains) for rep, (_, indices, gains) in classes.items()
             if (avail := sum(map(counts.__getitem__, indices)))]
     if not pool:
         return None
-    capacity = sum(c for _, c in pool)
-    kmax = min(kmax, capacity)
-    tables = _bound_tables(pool, ballots, sig, inst.beta, inst.m)
+    kmax = min(kmax, sum(avail for _, avail, _ in pool))
+    tables = _bound_tables(pool, ballots)
     start = max(1, math.ceil(lower))
     left = budget.left
     for k in range(start, kmax + 1):
         try:
-            plan = _search_at_size(
-                k, inst, pool, ballots, sig, base, scale, budget, strict_win, tables
-            )
+            plan = _search_at_size(k, pool, ballots, leads, scale, budget, strict_win, tables)
         except InstanceTooLarge as exc:
             raise InstanceTooLarge(
                 f"{exc} at target {inst.beta}, coalition size {k} of {start}..{kmax} "
@@ -705,7 +690,7 @@ def _spread(takes, classes, counts):
     """x by type: a class's take goes to its members, last one first, each up to its count."""
     x = {}
     for rep, take in takes.items():
-        types, indices = classes[rep]
+        types, indices, _ = classes[rep]
         for t, i in zip(reversed(types), reversed(indices)):
             part = min(take, counts[i])
             if part:

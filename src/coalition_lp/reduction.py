@@ -39,7 +39,7 @@ from . import lp
 from .election import (
     InvalidInput, ScoreVector, Scoreboard, _is_exact, integer_weights, per_rule, top_two,
 )
-from .exact import CoalitionPlan, ManipulationInstance, verify_stratified_plan
+from .exact import CoalitionPlan, ManipulationInstance, _solved, verify_stratified_plan
 
 
 class UnknownFamily(InvalidInput):
@@ -266,11 +266,9 @@ def q_stratified(margins: MarginPair, rule: ScoreVector):
             (lift, ">=", margins.b_deficit),
         ),
     )
-    out = lp.solve(program)
+    out = _solved(program)
     if out.status is lp.LpStatus.INFEASIBLE:
         return math.inf, None
-    if out.status is lp.LpStatus.UNBOUNDED:
-        raise lp.NumericalFailure("a minimization with non-negative objective cannot be unbounded")
     return out.value, out.point
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from coalition_lp import asymptotics
 from coalition_lp.election import (
-    MTooLarge, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
+    InvalidInput, MTooLarge, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
     score_matrix, three_candidate, type_scores,
 )
 from coalition_lp.asymptotics import (
@@ -317,6 +317,18 @@ def test_threads_default_to_usable_cpus(monkeypatch):
     assert resolve_threads() == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert resolve_threads() == 2
+    monkeypatch.setenv("COALITION_LP_THREADS", "3")
+    assert resolve_threads() == 3
+
+
+def test_library_calls_refuse_zero_threads():
+    """The CLI refuses --threads 0 itself; a library caller gets resolve_threads' error."""
+    rule = borda(3)
+    for call in (lambda: gw_curve(limit_model(rule), [0.5], 10_000, seed=1, threads=0),
+                 lambda: plateau_probability(3, 10_000, seed=1, threads=0),
+                 lambda: convergence_experiment(rule, [10], 2, limit_samples=10_000, threads=0)):
+        with pytest.raises(InvalidInput, match="threads must be at least 1, got 0"):
+            call()
 
 
 def test_gw_curve_joins_its_workers():
@@ -360,6 +372,12 @@ def test_dominance_analytic_pairs():
     # easier manipulation thresholds order the one-parameter family
     assert dominates(three_candidate(Fraction(3, 5)),
                      three_candidate(Fraction(9, 10))).verdict is Verdict.DOMINATES
+    # two distinct rules with one diagonal coefficient, 11/48, tie without sampling
+    a, b = normalize([1, Fraction(1, 6), 0, 0]), normalize([1, Fraction(1, 2), 0, 0])
+    assert limit_model(a).diag_coeff_sq == limit_model(b).diag_coeff_sq == Fraction(11, 48)
+    for r in (dominates(a, b), dominates(b, a)):
+        assert (r.verdict, r.method) == (Verdict.INDISTINGUISHABLE, "analytic-coefficient")
+        assert r.coefficient_a == r.coefficient_b
 
 
 def test_dominance_with_unbounded_rule():

@@ -704,6 +704,50 @@ def test_search_results_are_pinned():
     assert (counts[1], witnesses.hexdigest()) == PINNED_SEARCH_WITNESSES
 
 
+NODE_CORPUS = ((3, (9, 31), (15, 50), 20), (4, (9, 31), (50, 200), 20), (5, (9,), (200, 1000), 4))
+# nodes spent by mcs_outcome over NODE_CORPUS, per (m, strict), and the sha256 of every job's line
+PINNED_NODE_TOTALS = {(3, False): 4_631, (3, True): 5_578, (4, False): 24_916,
+                      (4, True): 110_196, (5, False): 12_705, (5, True): 35_910}
+PINNED_NODE_JOBS = (1520, "47dc6b7b7a39dc21124f65668501a5c056c893891c400082e287dbe741276647")
+
+
+def test_search_nodes_are_pinned(monkeypatch):
+    """Each mcs_outcome's value, target, witness and node count on a corpus, hashed.
+
+    Corpus: sample_ic(n, m, (seed, n, i)) over NODE_CORPUS's (m, seeds, sizes,
+    i < count), for plurality, Borda, approval:2, antiplurality and (m > 3)
+    weights:1,..,1,1/2,0, weak and strict.  A node is one _Budget.spend: the
+    pin holds the search's work, not only its answers.
+    """
+    spend, nodes = exact._Budget.spend, [0]
+
+    def counted(budget):
+        nodes[0] += 1
+        spend(budget)
+
+    monkeypatch.setattr(exact._Budget, "spend", counted)
+    digest, jobs, totals = hashlib.sha256(), 0, dict.fromkeys(PINNED_NODE_TOTALS, 0)
+    for m, seeds, sizes, count in NODE_CORPUS:
+        texts = ["plurality", "borda", "approval:2", "antiplurality"]
+        texts += [f"weights:{'1,' * (m - 2)}1/2,0"] * (m > 3)
+        rules = {text: parse_rule(text, m) for text in texts}
+        for seed, n, i in itertools.product(seeds, sizes, range(count)):
+            profile = sample_ic(n, m, (seed, n, i))
+            for text, strict in itertools.product(texts, (False, True)):
+                nodes[0] = 0
+                try:
+                    out = mcs_outcome(profile, rules[text], strict_win=strict)
+                    plan = out.plan and (sorted(out.plan.x.items()), sorted(out.plan.y.items()))
+                    line = (out.value, out.target, plan, nodes[0])
+                except NotStrictWinner:
+                    line = "tie"
+                digest.update(repr((m, seed, n, i, text, strict, line)).encode() + b"\n")
+                totals[m, strict] += nodes[0]
+                jobs += 1
+    assert totals == PINNED_NODE_TOTALS
+    assert (jobs, digest.hexdigest()) == PINNED_NODE_JOBS
+
+
 def _milp_cases():
     """(profile, rule text, strict, target or None) for the oracle comparison below."""
     # seed-9 corpus jobs on which the unbounded search spent its 10M nodes
