@@ -12,18 +12,22 @@ decides the dominance partial order between rules.
 
 Sampling is chunked: chunk i draws from a generator seeded with
 SeedSequence((*seed, i)), so estimates do not depend on the worker count
-and are reproducible for a fixed seed.  The chunks, and the electorate
-sizes of a convergence experiment (each seeded on its own), run on the
-worker pool through _in_order.  Memory is bounded by a block or a batch,
-not by the sample count: a chunk's vertex max runs in BLOCK-row blocks, and
-each electorate size draws its profiles in batches of about CELLS
-ballot-type counts.
+and are reproducible for a fixed seed.  The chunks run on the worker pool
+through _in_order; a convergence experiment passes it its electorate sizes
+(each seeded on its own) and then its limit curve's chunks, as one list.
+Memory is bounded by a block or a batch, not by the sample count: a chunk's
+vertex max runs in BLOCK-row blocks, and each electorate size draws its
+profiles in batches of CELLS // m! profiles.  Their scores are exact
+integer sums rounded once (sample_scoreboards), so no cut of the batches
+moves a bit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .election import (
-    MAX_CANDIDATES, InvalidInput, ScoreVector, _check_m, sample_scoreboards, score_matrix,
+    MAX_CANDIDATES, InvalidInput, ScoreVector, _check_m, sample_scoreboards,
 )
 from .reduction import Polytope2D, cone_optimal_vertices, mw_polytope
 
@@ -42,12 +46,12 @@ CHUNK = 1 << 18
 # what a chunk frees stays below it, so glibc keeps those pages for the next
 # chunk; at 2^14 rows (m = 8) it trims them, and every call faults them back in.
 BLOCK = 1 << 13
-# Ballot-type counts a finite-n batch draws at once: 3 MB of int64.  A batch's
-# scores are one product of about CELLS counts by m candidates, and OpenBLAS
-# keeps one summation order only from 10^6 multiply-adds up; at m = 3 that takes
-# at least 333,334 counts.
+# Ballot-type counts a finite-n batch draws at once: 3 MB of int64.  No output
+# bit depends on it (the scores are exact sums); glibc's malloc thresholds,
+# which freeing a batch lifts, fix it.  At 2^17 or 2^18 counts the first m = 8
+# curves after a convergence run fault ~650-1,600 pages back in, at 3 << 17 a
+# few; 2^19 counts raise peak RSS by ~4 MB.
 CELLS = 3 << 17
-SLICE = 200_000  # profiles per slice of a finite-n sample; see _batch_sizes
 Z95 = 1.959963984540054
 
 
@@ -241,35 +245,35 @@ def resolve_threads(threads=None) -> int:
     return len(usable(0)) if usable else os.cpu_count() or 1
 
 
-def _in_order(threads, fn, *columns):
-    """list(map(fn, *columns)), run on up to `threads` worker threads; columns are sequences."""
-    workers = min(resolve_threads(threads), len(columns[0]))
+def _in_order(threads, tasks) -> list:
+    """[task() for task in tasks], run on up to `threads` worker threads."""
+    workers = min(resolve_threads(threads), len(tasks))
     if workers <= 1:
-        return list(map(fn, *columns))
+        return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *columns))
+        return list(pool.map(operator.call, tasks))
 
 
-def _chunked_sum(samples: int, seed, draw, threads):
-    """Sum draw(rng, size) over fixed chunks of `samples`, in chunk order.
+def _chunk_tasks(samples: int, seed, draw) -> list:
+    """One task per fixed chunk of `samples`, in chunk order, returning draw(rng, size).
 
-    Chunk i draws from SeedSequence((*seed, i)), so the total does not
-    depend on how many worker threads run the chunks.
+    Chunk i draws from SeedSequence((*seed, i)), so the sum of the results
+    does not depend on how many worker threads run the tasks.
     """
     base = _seed_tuple(seed)
-    sizes = [CHUNK] * (samples // CHUNK)
-    if samples % CHUNK:
-        sizes.append(samples % CHUNK)
+    sizes = [CHUNK] * (samples // CHUNK) + [samples % CHUNK] * bool(samples % CHUNK)
 
     def one_chunk(idx, size):
         return draw(np.random.default_rng(np.random.SeedSequence(base + (idx,))), size)
 
-    results = _in_order(threads, one_chunk, range(len(sizes)), sizes)
-    return sum(results[1:], results[0])
+    return [functools.partial(one_chunk, idx, size) for idx, size in enumerate(sizes)]
 
 
-def gw_curve(model: LimitModel, grid, samples: int, seed, threads=None) -> GwCurve:
-    """Monte Carlo estimate of g_w on the grid, with 95% Wilson half-widths."""
+def _curve_tasks(model: LimitModel, grid, samples: int, seed):
+    """(tasks, finish): gw_curve's chunk tasks, and finish(their results) -> the GwCurve.
+
+    The grid and sample count are checked here, before any task runs.
+    """
     grid = [float(v) for v in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be non-decreasing")
@@ -282,11 +286,20 @@ def gw_curve(model: LimitModel, grid, samples: int, seed, threads=None) -> GwCur
         vals = sample_vw_batch(model, rng, size)
         return np.append(_count_le(vals, garr), np.isfinite(vals).sum())
 
-    total = _chunked_sum(samples, seed, draw, threads)
-    counts, finite = total[:-1], int(total[-1])
-    g = isotonic(counts / samples)
-    ci = tuple(_wilson_half_width(p, samples) for p in g)
-    return GwCurve(tuple(grid), tuple(g), ci, samples, finite / samples)
+    def finish(results):
+        total = sum(results)
+        counts, finite = total[:-1], int(total[-1])
+        g = isotonic(counts / samples)
+        ci = tuple(_wilson_half_width(p, samples) for p in g)
+        return GwCurve(tuple(grid), tuple(g), ci, samples, finite / samples)
+
+    return _chunk_tasks(samples, seed, draw), finish
+
+
+def gw_curve(model: LimitModel, grid, samples: int, seed, threads=None) -> GwCurve:
+    """Monte Carlo estimate of g_w on the grid, with 95% Wilson half-widths."""
+    tasks, finish = _curve_tasks(model, grid, samples, seed)
+    return finish(_in_order(threads, tasks))
 
 
 # Both CSV formats are one `# key=value ...` header line, the column row and
@@ -371,7 +384,7 @@ def plateau_probability(m: int, samples: int = 1_000_000, seed=0, threads=None):
     def draw(rng, size):
         return sum(int((second < zbar).sum()) for _, second, zbar in _top_two_mean(rng, size, m))
 
-    p = _chunked_sum(samples, seed, draw, threads) / samples
+    p = sum(_in_order(threads, _chunk_tasks(samples, seed, draw))) / samples
     return p, _wilson_half_width(p, samples)
 
 
@@ -513,21 +526,6 @@ def convergence_from_csv(text: str):
     return meta, [ConvergencePoint(*row) for row in rows]
 
 
-def _batch_sizes(trials: int, rows: int):
-    """Cut each SLICE profiles of `trials` into batches of `rows`, the last taking the rest.
-
-    A batch's scores are one BLAS product, and a product of one row or of
-    under 10^6 multiply-adds may sum in another order (numpy's gemv,
-    OpenBLAS's small-matrix kernel).  No batch of a longer slice is shorter
-    than `rows`, which at CELLS counts is past that size at every m, so the
-    scores are those of one product per slice.
-    """
-    for lo in range(0, trials, SLICE):
-        size = min(SLICE, trials - lo)
-        full = max(size // rows, 1) - 1
-        yield from [rows] * full + [size - rows * full]
-
-
 def convergence_experiment(
     rule: ScoreVector,
     n_list,
@@ -542,29 +540,28 @@ def convergence_experiment(
     For each n, draws IC profiles, skips ties for first place, evaluates the
     two-variable dual on the margins, and reports the sup distance between
     the empirical CDF on the grid and the Monte Carlo limit curve.  The n
-    values run on up to `threads` workers, each drawing its profiles in
-    batches of about CELLS ballot-type counts.
+    values, each drawing its profiles in batches of CELLS // m! profiles,
+    and then the limit curve's chunks run as one list of tasks on up to
+    `threads` workers, so the curve takes the worker the first finished
+    size frees.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     _check_m(rule.m)  # the finite-n profiles enumerate all m! types
     model = limit_model(rule)
-    if grid is None:
-        grid = DEFAULT_GRID
-    grid = [float(v) for v in grid]
-    limit = gw_curve(model, grid, limit_samples, seed, threads)
-    garr, g_hat = np.asarray(grid), np.asarray(limit.g_hat)
+    grid = [float(v) for v in (DEFAULT_GRID if grid is None else grid)]
+    curve_tasks, finish = _curve_tasks(model, grid, limit_samples, seed)
+    garr = np.asarray(grid)
     verts = np.array([[float(x), float(y)] for x, y in model.polytope.vertices])
     wbar = float(rule.mean)
-    matrix = score_matrix(rule)
     rows = CELLS // math.factorial(rule.m)
 
     def one_size(j, n):
         rng = np.random.default_rng(np.random.SeedSequence(_seed_tuple(seed) + (7919, j)))
         used = unreachable = 0
         counts = np.zeros(len(grid), dtype=np.int64)
-        for size in _batch_sizes(trials, rows):
-            scores = sample_scoreboards(n, rule, size, rng, matrix)
+        for lo in range(0, trials, rows):
+            scores = sample_scoreboards(n, rule, min(rows, trials - lo), rng)
             scores.sort(axis=1)
             top, second = scores[:, -1], scores[:, -2]
             strict = top - second > 1e-9
@@ -573,8 +570,14 @@ def convergence_experiment(
             q = _vertex_max(a_margin, b_deficit, verts, model.has_ray)
             unreachable += int(np.isinf(q).sum())
             counts += _count_le(q / math.sqrt(n), garr)
-        ks = float(np.max(np.abs(counts / used - g_hat))) if used else math.nan
-        return ConvergencePoint(int(n), ks, used, unreachable / used if used else math.nan)
+        return counts, used, unreachable
 
     n_list = list(n_list)
-    return _in_order(threads, one_size, range(len(n_list)), n_list)
+    sizes = [functools.partial(one_size, j, n) for j, n in enumerate(n_list)]
+    results = _in_order(threads, sizes + curve_tasks)
+    g_hat = np.asarray(finish(results[len(sizes):]).g_hat)
+    return [
+        ConvergencePoint(int(n), float(np.max(np.abs(counts / used - g_hat))) if used else math.nan,
+                         used, unreachable / used if used else math.nan)
+        for n, (counts, used, unreachable) in zip(n_list, results)
+    ]

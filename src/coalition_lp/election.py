@@ -7,10 +7,10 @@ ranking of all candidates, best first.  A positional rule assigns weight
 
 Arithmetic is exact (fractions.Fraction) whenever every weight is rational,
 which is the default for the named rules.  A rule given as floats has its
-weights read exactly (integer_weights, by lp.lcd_ints, and type_scores, mean,
-variance) except on the routes that stay float: its scoreboard sums the float
-weights, its ties are tested to within TIE_TOL, and its LP values are float
-solves.
+weights read exactly (integer_weights, by lp.lcd_ints, and type_scores,
+sample_scoreboards, mean, variance) except on the routes that stay float:
+its scoreboard sums the float weights, its ties are tested to within
+TIE_TOL, and its LP values are float solves.
 """
 
 from __future__ import annotations
@@ -373,6 +373,25 @@ def _packed_rows(rule: ScoreVector, nbits: int) -> tuple:
     return scale, lo, width, rows
 
 
+@per_rule
+def _score_limbs(rule: ScoreVector, count: int, dtype) -> tuple:
+    """(width, tables): type_scores' ints cut into `count` limbs of `width` bits, high limb first.
+
+    Each table is an (m!, m) array of `dtype` in column-major order, so a
+    count row meets each candidate's column in contiguous memory.
+    """
+    import numpy as np
+
+    scale, ints = integer_weights(rule)
+    places = _type_maps(rule.m)[1].values()
+    where = np.fromiter(itertools.chain.from_iterable(places), np.intp, len(places) * rule.m)
+    where = np.ascontiguousarray(where.reshape(len(places), rule.m).T)  # [c, t]: c's place in t
+    width = -(-scale.bit_length() // count)
+    mask = (1 << width) - 1
+    return width, tuple(np.array([w >> shift & mask for w in ints], dtype)[where].T
+                        for shift in range(width * (count - 1), -1, -width))
+
+
 def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
     """Candidate totals, summed over the types with a positive count.
 
@@ -433,16 +452,32 @@ def sample_ic(n: int, m: int, seed) -> Profile:
     return Profile(m, tuple(int(c) for c in counts))
 
 
-def sample_scoreboards(n: int, rule: ScoreVector, trials: int, rng, matrix=None) -> np.ndarray:
+def sample_scoreboards(n: int, rule: ScoreVector, trials: int, rng) -> np.ndarray:
     """Vectorized IC sampling: (trials, m) float array of candidate scores.
 
-    A caller that samples in batches passes score_matrix(rule) as `matrix`,
-    so it is built once.
+    Each score is its exact sum over type_scores' scale rounded once, as
+    float(Fraction(sum, scale)), so it is the same bytes however the
+    profiles are batched and on any CPU.  The counts meet the rule's integer
+    table limb by limb (_score_limbs), and each limb's sums stay below 2**31
+    in int32 (einsum adds those with SIMD) or else below 2**53 in int64,
+    where floats hold them exactly.
     """
     import numpy as np
 
     _check_m(rule.m)
     fact = math.factorial(rule.m)
-    matrix = score_matrix(rule) if matrix is None else matrix
-    # one expression, so the int64 counts are freed before the product is formed
-    return rng.multinomial(n, np.full(fact, 1.0 / fact), size=trials).astype(float) @ matrix
+    scale = integer_weights(rule)[0]
+    dtype, cap = (np.int32, 2**31) if n << scale.bit_length() < 2**31 else (np.int64, 2**53)
+    widest = max(((cap - 1) // n + 1).bit_length() - 1, 1)  # n * (2**widest - 1) < cap
+    width, tables = _score_limbs(rule, -(-scale.bit_length() // widest), dtype)
+    counts = rng.multinomial(n, np.full(fact, 1.0 / fact), size=trials).astype(dtype, copy=False)
+    sums = [np.einsum("ij,jk->ik", counts, table) for table in tables]
+    exact = n < 2**53  # every sum is then below cap, so a float holds it exactly
+    if exact and len(sums) == 1:
+        return sums[0] / scale  # scale < 2**53 too, so the one division rounds once
+    if exact and len(sums) == 2 and scale & (scale - 1) == 0:  # as for every float rule
+        return (sums[0] * 2.0**width + sums[1]) / scale  # one rounded add, then exact scaling
+    total = sums[0].astype(object)
+    for low in sums[1:]:
+        total = (total << width) + low.astype(object)
+    return (total / scale).astype(float)  # int / int rounds once, past 2**53 too

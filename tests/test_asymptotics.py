@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -17,10 +19,10 @@ import pytest
 from coalition_lp import asymptotics
 from coalition_lp.election import (
     InvalidInput, MTooLarge, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
-    score_matrix, three_candidate, type_scores,
+    sample_scoreboards, three_candidate,
 )
 from coalition_lp.asymptotics import (
-    BLOCK, CELLS, CHUNK, DEFAULT_GRID, SLICE, GridTooCoarse, Verdict, _batch_sizes,
+    BLOCK, CELLS, CHUNK, DEFAULT_GRID, GridTooCoarse, Verdict,
     _merge_exchange, _top_two_mean,
     convergence_experiment, convergence_from_csv, convergence_to_csv, curve_from_csv,
     curve_to_csv, dominates, gap_cdf, gw_curve, isotonic, limit_model, plateau_probability,
@@ -260,22 +262,38 @@ def test_block_size_moves_no_bit(m, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-# Prints the minor page faults of four 2^19-draw curves in a row.  Between calls
-# it waits until the last call's workers have left the process: a worker that is
-# still exiting holds its malloc arena, and a new worker would fault in a fresh one.
+# Prints the minor page faults of four 2^19-draw curves in a row, each after a
+# two-batch convergence run when a 4th argument is given.  After each call it
+# waits until the call's workers have left the process: a worker that is still
+# exiting holds its malloc arena, and a new worker would fault in a fresh one.
 FAULTS_PER_CURVE = """
 import os, resource, sys, time
-from coalition_lp.asymptotics import DEFAULT_GRID, gw_curve, limit_model
+from coalition_lp.asymptotics import DEFAULT_GRID, convergence_experiment, gw_curve, limit_model
 from coalition_lp.election import parse_rule
 model = limit_model(parse_rule(sys.argv[1], int(sys.argv[2])))
 tasks = len(os.listdir("/proc/self/task"))
+def settle():
+    while len(os.listdir("/proc/self/task")) > tasks:
+        time.sleep(0.001)
 for i in range(4):
+    if len(sys.argv) > 4:
+        convergence_experiment(parse_rule("borda", 5), (100, 1000), 6_553, seed=(3, i),
+                               limit_samples=10_000, threads=2)
+        settle()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     gw_curve(model, DEFAULT_GRID, 1 << 19, (3, i), int(sys.argv[3]))
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    while len(os.listdir("/proc/self/task")) > tasks:
-        time.sleep(0.001)
+    settle()
 """
+
+
+def _child_output(script, *args, **env_vars):
+    """The words `script` prints in a fresh interpreter that imports this package."""
+    src = str(Path(asymptotics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=dict(env, **env_vars),
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -288,12 +306,22 @@ def test_curve_chunks_reuse_their_pages(rule, m, threads):
     With 2^14-row blocks the 3rd and 4th calls faulted ~1,000-2,800 pages each
     (plurality(4) at 2 threads, borda(8) at both); at 2^13 rows they fault a few.
     """
-    src = str(Path(asymptotics.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", FAULTS_PER_CURVE, rule, str(m), str(threads)],
-                          env=env, capture_output=True, text=True, check=True)
-    faults = [int(line) for line in done.stdout.split()]
+    faults = list(map(int, _child_output(FAULTS_PER_CURVE, rule, m, threads)))
     assert max(faults[2:]) < 200, faults
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults that glibc's malloc thresholds cause")
+@pytest.mark.parametrize("rule,m", [("plurality", 4), ("borda", 8)])
+def test_curves_after_a_convergence_reuse_their_pages(rule, m):
+    """A convergence run between 2-thread curves leaves them their pages.
+
+    Scoring each batch as a float copy of its counts times a BLAS product made
+    every curve after a convergence fault ~1,400-1,900 pages back in; with
+    exact integer sums in batches of CELLS counts they fault a few.
+    """
+    faults = list(map(int, _child_output(FAULTS_PER_CURVE, rule, m, 2, "converge")))
+    assert max(faults[1:]) < 200, faults
 
 
 def test_gw_curve_deterministic_across_threads():
@@ -486,34 +514,40 @@ def test_convergence_bytes_are_pinned(label, m):
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_batches_never_end_a_long_slice_short():
-    """Every profile is drawn once; a slice longer than a batch keeps its batches full-sized."""
-    for trials, rows in ((1, 13), (12, 13), (13, 13), (27, 13), (SLICE + 2, 13),
-                         (2 * SLICE + 87_383, 87_381), (3_001, 104)):
-        sizes = list(_batch_sizes(trials, rows))
-        assert sum(sizes) == trials and all(0 < size < 2 * rows for size in sizes)
-        for lo in range(0, trials, SLICE):
-            cut, total = [], 0
-            while total < min(SLICE, trials - lo):
-                cut.append(sizes.pop(0))
-                total += cut[-1]
-            assert total == min(SLICE, trials - lo)
-            assert len(cut) == 1 or min(cut) >= rows
+@pytest.mark.parametrize("rule", [parse_rule("weights:1,5/6,1/3,1/4,0", 5),
+                                  normalize([1.0, 0.7, 0.4, 0.15, 0.0])], ids=["sixths", "float"])
+def test_batch_size_moves_no_convergence_bit(rule, monkeypatch):
+    """Exact sums do not depend on where the batches are cut: the same bytes at three CELLS."""
+    texts = set()
+    for cells in (1 << 12, 12_345, CELLS):
+        monkeypatch.setattr(asymptotics, "CELLS", cells)
+        points = convergence_experiment(rule, (40, 333), 3_001, seed=11, limit_samples=20_000,
+                                        threads=2)
+        texts.add(convergence_to_csv(points, "rule", 5, 11, 3_001))
+    assert len(texts) == 1
 
 
-@pytest.mark.parametrize("m", range(3, 9))
-def test_batched_scores_equal_one_product_per_slice(m):
-    """A rule whose scores are not dyadic, scored batch by batch, to the last bit."""
-    weights = [1, Fraction(6, 7), Fraction(3, 7), Fraction(2, 7), Fraction(1, 7), Fraction(1, 9),
-               Fraction(1, 11)][:m - 1]
-    matrix = score_matrix(normalize([*weights, 0]))
-    fact = math.factorial(m)
-    rows = CELLS // fact
-    counts = np.random.default_rng(m).multinomial(50 * m, np.full(fact, 1 / fact), size=2 * rows + 1)
-    counts = counts.astype(float)
-    cuts = np.cumsum([0, *_batch_sizes(len(counts), rows)])
-    batched = np.concatenate([counts[lo:hi] @ matrix for lo, hi in zip(cuts, cuts[1:])])
-    assert np.array_equal(batched, counts @ matrix)
+# The converge digests of three cases, printed by a child process; with OpenBLAS's kernel
+# forced to another CPU type, a float product of the counts would move the non-dyadic ones.
+CONVERGE_DIGESTS = """
+import hashlib
+from coalition_lp.asymptotics import convergence_experiment, convergence_to_csv
+from coalition_lp.election import parse_rule
+for label, m, n_list in (("weights:1,5/6,1/3,1/4,0", 5, (100,)), ("weights:1,5/6,1/3,1/4,0", 5, (333,)),
+                         ("borda", 6, (100,))):
+    points = convergence_experiment(parse_rule(label, m), n_list, 3_001, seed=3, limit_samples=20_000)
+    print(hashlib.sha256(convergence_to_csv(points, label, m, 3, 3_001).encode()).hexdigest())
+"""
+
+
+def test_convergence_bytes_do_not_depend_on_the_blas_kernel():
+    haswell, sandybridge = (_child_output(CONVERGE_DIGESTS, OPENBLAS_CORETYPE=core)
+                            for core in ("Haswell", "Sandybridge"))
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(CONVERGE_DIGESTS, {})
+    assert haswell == sandybridge == here.getvalue().split()
+    assert len(set(haswell)) == 3
 
 
 def _traced_peak(run):
@@ -530,10 +564,11 @@ def test_monte_carlo_memory_is_bounded_per_block_and_batch():
 
     Drawing a chunk's vertex max at once peaked at 28 MB, and all 2,000 m = 7
     profiles at once at 154 MB; 2^13-row blocks and batches of CELLS counts
-    take ~6.3 and ~10.1 MB (~8.2 MB with 2^14-row blocks).
+    take ~5.8-6.4 and ~4.5 MB (~8.2 MB with 2^14-row blocks, and ~10.1 MB
+    when each batch's counts were also copied to floats for a BLAS product).
     """
     model, rule = limit_model(borda(3)), borda(7)
-    type_scores(rule), limit_model(rule)  # tables kept with the rule and its weights
+    limit_model(rule), sample_scoreboards(50, rule, 1, np.random.default_rng(0))  # rule's tables
     two_chunks = _traced_peak(lambda: gw_curve(model, DEFAULT_GRID, 2 * CHUNK, seed=1, threads=2))
     assert two_chunks < 12 * 2**20, two_chunks
     m7 = _traced_peak(lambda: convergence_experiment(rule, (50,), 2_000,
@@ -541,13 +576,26 @@ def test_monte_carlo_memory_is_bounded_per_block_and_batch():
     assert m7 < 16 * 2**20, m7
 
 
-def test_convergence_checks_m_before_the_limit_curve(monkeypatch):
-    def no_curve(*args, **kwargs):
-        raise AssertionError("the limit curve was sampled before m was checked")
+def _refuse_draws(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("profiles or limit draws were taken before the inputs were checked")
 
-    monkeypatch.setattr(asymptotics, "gw_curve", no_curve)
+    monkeypatch.setattr(asymptotics, "sample_vw_batch", no_draw)
+    monkeypatch.setattr(asymptotics, "sample_scoreboards", no_draw)
+
+
+def test_convergence_checks_m_before_the_limit_curve(monkeypatch):
+    _refuse_draws(monkeypatch)
     with pytest.raises(MTooLarge):
         convergence_experiment(borda(9), [10], trials=10, limit_samples=4_000_000)
+
+
+def test_convergence_checks_grid_and_samples_before_drawing(monkeypatch):
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        convergence_experiment(borda(3), [10, 20], trials=10, grid=[0.5, 1.0, 0.75])
+    with pytest.raises(ValueError, match="10\\^4"):
+        convergence_experiment(borda(3), [10, 20], trials=10, limit_samples=9_999)
 
 
 def test_convergence_csv_round_trip():

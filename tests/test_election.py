@@ -306,6 +306,34 @@ def test_score_matrix_is_pinned():
     assert (len(rules), digest.hexdigest()) == PINNED_MATRICES
 
 
+FLOAT_RULE = normalize([1.0, 0.7, 0.4, 0.15, 0.0])  # floats read exactly: scale 2**55
+
+
+def _sampled_rules(m):
+    """A dyadic and a non-dyadic rule at every m; a float rule at m = 5, PINNED_MATRIX_RULE at 6."""
+    dyadic = normalize([1, *(Fraction(1, 2**k) for k in range(1, m - 1)), 0])
+    other = normalize([1, *[Fraction(6, 7), Fraction(3, 7), Fraction(2, 7), Fraction(1, 7),
+                            Fraction(1, 9), Fraction(1, 11)][:m - 2], 0])
+    return [dyadic, other] + [FLOAT_RULE] * (m == 5) + [parse_rule(PINNED_MATRIX_RULE, 6)] * (m == 6)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_sampled_scores_are_exact_sums_rounded_once(m):
+    """Every score is float(Fraction(exact, scale)): in one limb and in several, in int32 and int64."""
+    assert election.integer_weights(FLOAT_RULE)[0] == 2**55
+    assert election.integer_weights(parse_rule(PINNED_MATRIX_RULE, 6))[0] > 2**63
+    fact = math.factorial(m)
+    for rule in _sampled_rules(m):
+        scale, rows = type_scores(rule)
+        columns = list(zip(*rows.values()))
+        for n in (7, 100, 1001, 3**20):  # 3**20 voters take the int64 sums
+            got = sample_scoreboards(n, rule, 3, np.random.default_rng((m, n)))
+            drawn = np.random.default_rng((m, n)).multinomial(n, np.full(fact, 1 / fact), size=3)
+            want = [[float(Fraction(sum(map(int.__mul__, counts, col)), scale)) for col in columns]
+                    for counts in drawn.tolist()]
+            assert got.tolist() == want, (rule, n)
+
+
 def test_module_caches_are_keyed_by_m_alone():
     """Every lru_cache or cache in the package takes m first: a rule's tables live on the rule."""
     cached = []

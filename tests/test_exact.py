@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -940,10 +941,12 @@ def test_rule_tables_leave_the_rule_as_it_was():
 
 
 def test_dropped_rules_return_their_tables():
-    """16 m = 8 rules, each given its score rows and polytope and then dropped, leave < 5 MB traced.
+    """16 m = 8 rules, each given its score rows, sampling table and polytope and then dropped,
+    leave < 5 MB traced.
 
     Caches keyed by the weights, 16 entries each, kept ~84 MB of these rows.
-    Every table is held the same way, so the score rows, 5.5 MB a rule, stand
+    Every table is held the same way, so the score rows, 5.5 MB a rule, and
+    the integer table that sampled profiles are scored with, 1.3 MB, stand
     for them all; the packed rows would triple the time spent under tracing.
     """
     type_scores(borda(8))  # the per-m type maps stay; build them before tracing
@@ -952,7 +955,9 @@ def test_dropped_rules_return_their_tables():
         for i in range(16):
             rule = normalize([8 + i, *range(6, -1, -1)])
             type_scores(rule), mw_polytope(rule)
-            assert _tables_of(rule) == {"integer_weights", "type_scores", "mw_polytope"}
+            election.sample_scoreboards(50, rule, 1, np.random.default_rng(i))
+            assert _tables_of(rule) == {"integer_weights", "type_scores", "_score_limbs",
+                                        "mw_polytope"}
         del rule
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
