@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -251,7 +250,7 @@ def _in_order(threads, tasks) -> list:
     if workers <= 1:
         return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(operator.call, tasks))
+        return list(pool.map(lambda task: task(), tasks))
 
 
 def _chunk_tasks(samples: int, seed, draw) -> list:

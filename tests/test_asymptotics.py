@@ -338,6 +338,15 @@ def test_plateau_independent_of_threads():
         4, 600_000, seed=8, threads=2)
 
 
+def test_worker_pool_runs_without_operator_call(monkeypatch):
+    """pyproject allows Python 3.10, whose operator module has no call (new in 3.11)."""
+    import operator
+
+    monkeypatch.delattr(operator, "call", raising=False)
+    assert plateau_probability(4, 600_000, seed=8, threads=2) == plateau_probability(
+        4, 600_000, seed=8, threads=1)
+
+
 def test_threads_default_to_usable_cpus(monkeypatch):
     monkeypatch.delenv("COALITION_LP_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
