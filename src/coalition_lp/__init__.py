@@ -10,8 +10,7 @@ resistance.
 
 Every public name is imported from its module on first use (PEP 562), so
 importing the package imports none of its modules, and only the sampling code
-(``asymptotics``, ``sample_ic``, ``score_matrix``, ``sample_scoreboards``)
-loads numpy.
+(``asymptotics``, ``sample_ic``, ``sample_scoreboards``) loads numpy.
 """
 
 import importlib

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .election import (
-    MAX_CANDIDATES, InvalidInput, ScoreVector, _check_m, sample_scoreboards,
+    MAX_CANDIDATES, InvalidInput, ScoreVector, _check_m, _check_n, sample_scoreboards,
 )
 from .reduction import Polytope2D, cone_optimal_vertices, mw_polytope
 
@@ -257,8 +257,11 @@ def _chunk_tasks(samples: int, seed, draw) -> list:
     """One task per fixed chunk of `samples`, in chunk order, returning draw(rng, size).
 
     Chunk i draws from SeedSequence((*seed, i)), so the sum of the results
-    does not depend on how many worker threads run the tasks.
+    does not depend on how many worker threads run the tasks.  A sample
+    count below 1 is refused, for every sampler that chunks through here.
     """
+    if samples < 1:
+        raise InvalidInput(f"need at least one sample, got {samples}")
     base = _seed_tuple(seed)
     sizes = [CHUNK] * (samples // CHUNK) + [samples % CHUNK] * bool(samples % CHUNK)
 
@@ -274,10 +277,12 @@ def _curve_tasks(model: LimitModel, grid, samples: int, seed):
     The grid and sample count are checked here, before any task runs.
     """
     grid = [float(v) for v in grid]
+    if bad := [v for v in grid if not math.isfinite(v)]:
+        raise InvalidInput(f"grid points must be finite, got {bad[0]}")
     if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be non-decreasing")
+        raise InvalidInput("grid must be non-decreasing")
     if samples < 10_000:
-        raise ValueError("need at least 10^4 samples for a stable curve")
+        raise InvalidInput("need at least 10^4 samples for a stable curve")
     garr = np.asarray(grid)
 
     def draw(rng, size):
@@ -327,10 +332,10 @@ def _from_csv(text: str, what: str, header, columns):
     pattern = r"#\s*" + r"\s+".join(f"{name}=({_PATTERN[kind]})" for name, kind in header)
     found = re.match(pattern, lines[0]) if lines else None
     if not found:
-        raise ValueError(f"{what} CSV lacks the metadata header")
+        raise InvalidInput(f"{what} CSV lacks the metadata header")
     meta = {name: kind(v) for (name, kind), v in zip(header, found.groups())}
     if len(lines) < 2 or lines[1].strip() != ",".join(name for name, _ in columns):
-        raise ValueError(f"unexpected {what} CSV columns")
+        raise InvalidInput(f"unexpected {what} CSV columns")
     rows = []
     for ln in lines[2:]:
         # strict: a row with too few or too many fields raises ValueError
@@ -378,7 +383,7 @@ def plateau_probability(m: int, samples: int = 1_000_000, seed=0, threads=None):
     manipulable by any coalition.
     """
     if m < 3:
-        raise ValueError("need m >= 3")
+        raise InvalidInput("need m >= 3")
 
     def draw(rng, size):
         return sum(int((second < zbar).sum()) for _, second, zbar in _top_two_mean(rng, size, m))
@@ -434,7 +439,7 @@ def dominates(
     settled by CI-separated Monte Carlo curves on the grid.
     """
     if rule_a.m != rule_b.m:
-        raise ValueError("dominance only compares rules on the same candidate set")
+        raise InvalidInput("dominance only compares rules on the same candidate set")
     if rule_a.weights == rule_b.weights:
         return DominanceReport(Verdict.INDISTINGUISHABLE, "identical", None, None, "same rule")
 
@@ -545,8 +550,11 @@ def convergence_experiment(
     size frees.
     """
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise InvalidInput(f"need at least one trial, got {trials}")
     _check_m(rule.m)  # the finite-n profiles enumerate all m! types
+    n_list = list(n_list)
+    for n in n_list:
+        _check_n(n)
     model = limit_model(rule)
     grid = [float(v) for v in (DEFAULT_GRID if grid is None else grid)]
     curve_tasks, finish = _curve_tasks(model, grid, limit_samples, seed)
@@ -571,7 +579,6 @@ def convergence_experiment(
             counts += _count_le(q / math.sqrt(n), garr)
         return counts, used, unreachable
 
-    n_list = list(n_list)
     sizes = [functools.partial(one_size, j, n) for j, n in enumerate(n_list)]
     results = _in_order(threads, sizes + curve_tasks)
     g_hat = np.asarray(finish(results[len(sizes):]).g_hat)

@@ -37,17 +37,17 @@ def parse_grid(spec: str):
     """Inclusive start:stop:step grid, e.g. 0:2.5:0.05."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must look like start:stop:step, got {spec!r}")
+        raise InvalidInput(f"grid must look like start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError(f"grid needs finite numbers, got {spec!r}")
+        raise InvalidInput(f"grid needs finite numbers, got {spec!r}")
     if step <= 0:
-        raise ValueError("grid step must be positive")
+        raise InvalidInput("grid step must be positive")
     if stop < start:
-        raise ValueError("grid stop must not precede start")
+        raise InvalidInput("grid stop must not precede start")
     span = (stop - start) / step + 1e-9
     if not span < MAX_GRID_POINTS:
-        raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+        raise InvalidInput(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     count = int(span) + 1
     return [round(start + i * step, 10) for i in range(count)]
 
@@ -143,7 +143,7 @@ def cmd_converge(args) -> int:
     rule = parse_rule(args.rule, args.m)
     n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
     if not n_list or any(n <= 0 for n in n_list):
-        raise ValueError(f"--n-list needs positive sizes, got {args.n_list!r}")
+        raise InvalidInput(f"--n-list needs positive sizes, got {args.n_list!r}")
     grid = parse_grid(args.grid)
     points = asymptotics.convergence_experiment(
         rule, n_list, args.trials, seed=args.seed, grid=grid,
@@ -157,7 +157,7 @@ def cmd_qvalue(args) -> int:
     rule = parse_rule(args.rule, args.m)
     parts = args.margins.split(",")
     if len(parts) != 2:
-        raise ValueError(f"--margins needs two comma-separated numbers, got {args.margins!r}")
+        raise InvalidInput(f"--margins needs two comma-separated numbers, got {args.margins!r}")
     try:
         a_margin, b_deficit = (Fraction(p.strip()) for p in parts)
     except ZeroDivisionError:

@@ -140,7 +140,7 @@ def borda(m: int) -> ScoreVector:
 
 def k_approval(m: int, k: int) -> ScoreVector:
     if not 1 <= k <= m - 1:
-        raise ValueError(f"k must be in 1..{m - 1}, got {k}")
+        raise InvalidInput(f"k must be in 1..{m - 1}, got {k}")
     return normalize([Fraction(1)] * k + [Fraction(0)] * (m - k))
 
 
@@ -156,27 +156,26 @@ def three_candidate(p) -> ScoreVector:
     """The one-parameter family (1, 1-p, 0) on three candidates, 0 < p <= 1."""
     p = Fraction(p) if _is_exact(p) or isinstance(p, str) else float(p)
     if not 0 < p <= 1:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+        raise InvalidInput(f"p must be in (0, 1], got {p}")
     return normalize([1, 1 - p, 0])
+
+
+# the named rules, each a constructor of m; "approval:" takes the text past its colon too
+_NAMED_RULES = {"borda": borda, "plurality": plurality, "antiplurality": antiplurality,
+                "approval:": lambda m, k: k_approval(m, int(k))}
 
 
 def parse_rule(text: str, m: int | None = None) -> ScoreVector:
     """Parse a rule string: borda | plurality | antiplurality | approval:<k> | weights:<w1,...,wm>."""
     text = text.strip()
-    if text == "borda" or text == "plurality" or text == "antiplurality" or text.startswith("approval:"):
+    name, colon, arg = text.partition(":")
+    if build := _NAMED_RULES.get(name + colon):
         if m is None:
-            raise ValueError(f"rule '{text}' needs a candidate count")
-        if text == "borda":
-            return borda(m)
-        if text == "plurality":
-            return plurality(m)
-        if text == "antiplurality":
-            return antiplurality(m)
-        return k_approval(m, int(text.split(":", 1)[1]))
+            raise InvalidInput(f"rule '{text}' needs a candidate count")
+        return build(m, arg) if colon else build(m)
     if text.startswith("weights:"):
-        parts = text.split(":", 1)[1].split(",")
         weights = []
-        for part in map(str.strip, parts):
+        for part in map(str.strip, arg.split(",")):
             try:
                 weights.append(Fraction(part))
             except ZeroDivisionError:
@@ -184,9 +183,9 @@ def parse_rule(text: str, m: int | None = None) -> ScoreVector:
             except ValueError:
                 raise InvalidInput(f"weight {part!r} is not a number") from None
         if m is not None and len(weights) != m:
-            raise ValueError(f"rule has {len(weights)} weights but m={m}")
+            raise InvalidInput(f"rule has {len(weights)} weights but m={m}")
         return normalize(weights)
-    raise ValueError(f"unrecognized rule: {text!r}")
+    raise InvalidInput(f"unrecognized rule: {text!r}")
 
 
 # --------------------------------------------------------------------- #
@@ -211,7 +210,7 @@ def ranking_index(ranking, m: int) -> int:
     """Lexicographic rank of a permutation among all m! voter types."""
     ranking = tuple(ranking)
     if sorted(ranking) != list(range(m)):
-        raise ValueError(f"not a permutation of 0..{m - 1}: {ranking}")
+        raise InvalidInput(f"not a permutation of 0..{m - 1}: {ranking}")
     remaining = list(range(m))
     idx = 0
     for pos, cand in enumerate(ranking):
@@ -230,11 +229,11 @@ class Profile:
     def __post_init__(self):
         _check_m(self.m)
         if len(self.counts) != math.factorial(self.m):
-            raise ValueError("counts must have length m!")
+            raise InvalidInput("counts must have length m!")
         if any(isinstance(c, bool) or c < 0 or c != int(c) for c in self.counts):
-            raise ValueError("counts must be non-negative integers")
+            raise InvalidInput("counts must be non-negative integers")
         if sum(self.counts) < 1:
-            raise ValueError("profile needs at least one voter")
+            raise InvalidInput("profile needs at least one voter")
 
     @classmethod
     def from_counts(cls, m: int, counts) -> "Profile":
@@ -243,7 +242,7 @@ class Profile:
         dense = [0] * math.factorial(m)
         for ranking, c in counts.items():
             if isinstance(c, bool):  # 0 + True would pass as the int 1
-                raise ValueError("counts must be non-negative integers")
+                raise InvalidInput("counts must be non-negative integers")
             dense[ranking_index(ranking, m)] += c
         return cls(m, tuple(dense))
 
@@ -259,7 +258,7 @@ class Profile:
 
     def __add__(self, other: "Profile") -> "Profile":
         if self.m != other.m:
-            raise ValueError("profiles must share m")
+            raise InvalidInput("profiles must share m")
         return Profile(self.m, tuple(a + b for a, b in zip(self.counts, other.counts)))
 
     def to_json(self) -> str:
@@ -400,7 +399,7 @@ def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
     type order.
     """
     if rule.m != profile.m:
-        raise ValueError("rule and profile must share m")
+        raise InvalidInput("rule and profile must share m")
     m, n, counts = profile.m, profile.n, profile.counts
     if rule.is_rational:
         scale, lo, width, rows = _packed_rows(rule, max(64, n.bit_length()))
@@ -424,27 +423,21 @@ def top_two(board: Scoreboard):
     return a, b, strict
 
 
-def score_matrix(rule: ScoreVector) -> np.ndarray:
-    """Dense (m!, m) float matrix: entry [t, c] is the score ballot type t gives candidate c."""
-    import numpy as np
-
-    scale, rows = type_scores(rule)
-    # int / int rounds once, as float(Fraction) does, also past 2**53; fromiter
-    # builds no list of m! * m floats (16 MB at m = 8 for a 2.6 MB matrix)
-    values = (s / scale for row in rows.values() for s in row)
-    return np.fromiter(values, float, len(rows) * rule.m).reshape(len(rows), rule.m)
-
-
 # --------------------------------------------------------------------- #
 # Impartial-culture sampling
 # --------------------------------------------------------------------- #
+
+def _check_n(n: int) -> None:
+    """Reject an electorate size that numpy's multinomial cannot draw: it takes 1 <= n < 2**63."""
+    if not 1 <= n < 2**63:
+        raise InvalidInput(f"need 1 <= n < 2**63, got {n}")
+
 
 def sample_ic(n: int, m: int, seed) -> Profile:
     """Draw one impartial-culture profile: n voters iid uniform over the m! types."""
     import numpy as np
 
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     _check_m(m)
     fact = math.factorial(m)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -464,6 +457,7 @@ def sample_scoreboards(n: int, rule: ScoreVector, trials: int, rng) -> np.ndarra
     """
     import numpy as np
 
+    _check_n(n)
     _check_m(rule.m)
     fact = math.factorial(rule.m)
     scale = integer_weights(rule)[0]

@@ -75,6 +75,7 @@ from time import perf_counter
 
 from . import lp
 from .election import (
+    InvalidInput,
     Profile,
     ScoreVector,
     Scoreboard,
@@ -111,17 +112,18 @@ class CoalitionPlan:
 
     def as_dict(self) -> dict:
         size = float(self.size)
-        return {
-            "size": int(size) if size.is_integer() else size,
-            "recruits": [
-                {"ranking": list(r), "count": c if isinstance(c, int) else float(c)}
-                for r, c in sorted(self.x.items())
-            ],
-            "ballots": [
-                {"ranking": list(r), "count": c if isinstance(c, int) else float(c)}
-                for r, c in sorted(self.y.items())
-            ],
-        }
+        lists = {key: [{"ranking": list(r), "count": c if isinstance(c, int) else float(c)}
+                       for r, c in sorted(part.items())]
+                 for key, part in (("recruits", self.x), ("ballots", self.y))}
+        return {"size": int(size) if size.is_integer() else size, **lists}
+
+
+def _strict_top_two(board, what):
+    """(winner, runner-up) of the board; NotStrictWinner, naming `what`, on a tie for first."""
+    a, b, strict = top_two(board)
+    if not strict:
+        raise NotStrictWinner(f"the {what} has a tie for first place")
+    return a, b
 
 
 # One m <= 5 pass fits: instances key (a, b, beta) and the per-rule tables (a, beta, beta),
@@ -167,27 +169,24 @@ class ManipulationInstance:
     @classmethod
     def _build(cls, rule, scores, a, b, beta, profile):
         if beta == a:
-            raise ValueError("the manipulation target must differ from the winner")
+            raise InvalidInput("the manipulation target must differ from the winner")
         return cls(rule, tuple(scores), a, b, beta, profile, *_type_sets(rule.m, a, b, beta))
 
     @classmethod
-    def from_profile(cls, profile: Profile, rule: ScoreVector, beta: int | None = None):
-        board = scoreboard(profile, rule)
-        a, b, strict = top_two(board)
-        if not strict:
-            raise NotStrictWinner("the profile has a tie for first place")
+    def _from_board(cls, rule, board, beta, profile, what):
+        a, b = _strict_top_two(board, what)
         return cls._build(rule, board.scores, a, b, b if beta is None else beta, profile)
+
+    @classmethod
+    def from_profile(cls, profile: Profile, rule: ScoreVector, beta: int | None = None):
+        return cls._from_board(rule, scoreboard(profile, rule), beta, profile, "profile")
 
     @classmethod
     def from_scores(cls, rule: ScoreVector, scores, beta: int | None = None):
         """Build from a bare scoreboard; q1/q2 are unavailable without a profile."""
-        board = Scoreboard(tuple(scores), 0)
         if len(scores) != rule.m:
-            raise ValueError("scores and rule must share m")
-        a, b, strict = top_two(board)
-        if not strict:
-            raise NotStrictWinner("the scoreboard has a tie for first place")
-        return cls._build(rule, board.scores, a, b, b if beta is None else beta, None)
+            raise InvalidInput("scores and rule must share m")
+        return cls._from_board(rule, Scoreboard(tuple(scores), 0), beta, None, "scoreboard")
 
     @property
     def m(self) -> int:
@@ -199,7 +198,7 @@ class ManipulationInstance:
 
     def count_of(self, ranking) -> int:
         if self.profile is None:
-            raise ValueError("this instance has no profile")
+            raise InvalidInput("this instance has no profile")
         return self.profile.counts[_type_maps(self.m)[0][tuple(ranking)]]
 
 
@@ -247,14 +246,9 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
         issues.append(f"coalition size mismatch: recruits {Fraction(xs, den)}, "
                       f"ballots {Fraction(ys, den)}")
     if strata_z is not None:
-        # t lies in stratum p[b] when a sits right below b in it (_type_sets)
         zs, zden = lp.lcd_ints(strata_z)
-        sums, places, a, b = [0] * len(inst.strata), _type_maps(inst.m)[1], inst.a, inst.b
-        for t, amt in x.items():
-            p = places.get(t)
-            if p and p[a] == p[b] + 1:
-                sums[p[b]] += amt
-        for i, got in enumerate(sums):
+        for i, stratum in enumerate(inst.strata):
+            got = sum(x.get(t, 0) for t in stratum)
             if missed(-abs(got * zden - zs[i] * den), den * zden):
                 got = Fraction(got, den)
                 issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
@@ -294,9 +288,9 @@ def verify_integral_plan(inst, plan, tol=0.0):
 def verify_stratified_plan(inst, plan, z=None, tol=0.0):
     """Soundness check for a program-(2)-style plan (target must be the runner-up)."""
     if inst.beta != inst.b:
-        raise ValueError("stratified plans target the runner-up")
+        raise InvalidInput("stratified plans target the runner-up")
     if z is not None and len(z) != inst.m - 1:
-        raise ValueError(f"z needs m-1 = {inst.m - 1} entries, got {len(z)}")
+        raise InvalidInput(f"z needs m-1 = {inst.m - 1} entries, got {len(z)}")
     return verify_plan(
         inst, plan, pool=inst.ba_types, ballots=inst.first_types, strata_z=z, tol=tol
     )
@@ -530,14 +524,14 @@ def q3(inst: ManipulationInstance):
 def q2(inst: ManipulationInstance, slack):
     """LP with recruitment bounds shrunk by the rounding constant."""
     if inst.profile is None:
-        raise ValueError("q2 needs profile counts")
+        raise InvalidInput("q2 needs profile counts")
     return _lp_value(_coalition_lp(inst, inst.pref_types, upper_slack=slack))
 
 
 def q_program2_from_instance(inst: ManipulationInstance):
     """Value of the stratified LP: recruits only from the runner-up's adjacent strata."""
     if inst.beta != inst.b:
-        raise ValueError("the stratified program targets the runner-up")
+        raise InvalidInput("the stratified program targets the runner-up")
     return _unbounded_lp_value(inst, inst.ba_types)
 
 
@@ -556,7 +550,7 @@ def _integer_tables(inst):
     candidate's lead over the target times scale, in label order.
     """
     if not inst.rule.is_rational:
-        raise ValueError("the exact search needs a rational rule")
+        raise InvalidInput("the exact search needs a rational rule")
     scale = type_scores(inst.rule)[0]
     base = [s.numerator * scale // s.denominator for s in inst.scores]
     return scale, [d - base[inst.beta] for c, d in enumerate(base) if c != inst.beta]
@@ -702,7 +696,7 @@ def _spread(takes, classes, counts):
 def q1(inst: ManipulationInstance, *, strict_win=False, unrestricted=False):
     """Exact minimum coalition size for the instance's target, by integer search."""
     if inst.profile is None:
-        raise ValueError("the exact search needs profile counts")
+        raise InvalidInput("the exact search needs profile counts")
     if inst.m > MAX_EXACT_M:
         raise InstanceTooLarge(f"exact search is limited to m <= {MAX_EXACT_M}")
     budget = _Budget(NODE_BUDGET)
@@ -722,9 +716,7 @@ def mcs_outcome(profile: Profile, rule: ScoreVector, *, strict_win=False) -> Mcs
     if profile.m > MAX_EXACT_M:
         raise InstanceTooLarge(f"exact search is limited to m <= {MAX_EXACT_M}")
     board = scoreboard(profile, rule)
-    a, b, strict = top_two(board)
-    if not strict:
-        raise NotStrictWinner("the profile has a tie for first place")
+    a, b = _strict_top_two(board, "profile")
     budget = _Budget(NODE_BUDGET)
     candidates = []
     for beta in range(profile.m):

@@ -122,7 +122,7 @@ class Polytope2D:
         data = json.loads(text)
         for key in ("rule", "m", "vertices", "rays"):
             if key not in data:
-                raise ValueError(f"polytope JSON lacks {key!r}")
+                raise InvalidInput(f"polytope JSON lacks {key!r}")
 
         def parse(v):
             return Fraction(v) if isinstance(v, str) else float(v)
@@ -339,10 +339,10 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
     exactly and rounded once, to a float, and is re-checked within 1e-7.
     """
     if inst.beta != inst.b:
-        raise ValueError("the witness construction targets the runner-up")
+        raise InvalidInput("the witness construction targets the runner-up")
     m = inst.m
     if len(z) != m - 1:
-        raise ValueError(f"z needs m-1 = {m - 1} entries, got {len(z)}")
+        raise InvalidInput(f"z needs m-1 = {m - 1} entries, got {len(z)}")
     exact = inst.rule.is_rational and all(map(_is_exact, inst.scores)) and all(map(_is_exact, z))
     others = [c for c in range(m) if c not in (inst.a, inst.b)]
     zs, sincere, ru, rv, v, den = _exact_shares(inst, z, others, exact)

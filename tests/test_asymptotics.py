@@ -591,6 +591,7 @@ def _refuse_draws(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "sample_vw_batch", no_draw)
     monkeypatch.setattr(asymptotics, "sample_scoreboards", no_draw)
+    monkeypatch.setattr(asymptotics, "_in_order", no_draw)
 
 
 def test_convergence_checks_m_before_the_limit_curve(monkeypatch):
@@ -605,6 +606,34 @@ def test_convergence_checks_grid_and_samples_before_drawing(monkeypatch):
         convergence_experiment(borda(3), [10, 20], trials=10, grid=[0.5, 1.0, 0.75])
     with pytest.raises(ValueError, match="10\\^4"):
         convergence_experiment(borda(3), [10, 20], trials=10, limit_samples=9_999)
+
+
+def test_convergence_checks_every_size_before_any_task(monkeypatch):
+    """A size numpy's multinomial cannot draw is InvalidInput before the pool starts."""
+    _refuse_draws(monkeypatch)
+    for n_list in ([0], [10, 2**63], [10**20]):
+        with pytest.raises(InvalidInput, match=r"1 <= n < 2\*\*63"):
+            convergence_experiment(borda(4), n_list, 100, limit_samples=10_000)
+
+
+def test_samplers_refuse_sample_counts_below_one(monkeypatch):
+    """A sample count below 1 is InvalidInput, not p = -9182.0 or a ZeroDivisionError."""
+    _refuse_draws(monkeypatch)
+    for samples in (0, -5):
+        with pytest.raises(InvalidInput, match="at least one sample"):
+            plateau_probability(4, samples=samples)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_curves_refuse_non_finite_grid_points(bad, monkeypatch):
+    """A NaN or infinite grid point is InvalidInput before any draw, in either position."""
+    _refuse_draws(monkeypatch)
+    model = limit_model(borda(4))
+    for grid in ([bad, 1.0], [0.5, bad]):
+        with pytest.raises(InvalidInput, match="finite"):
+            gw_curve(model, grid, 10_000, 0)
+        with pytest.raises(InvalidInput, match="finite"):
+            convergence_experiment(borda(4), [10], 100, grid=grid, limit_samples=10_000)
 
 
 def test_convergence_csv_round_trip():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from coalition_lp import election
 from coalition_lp.election import (
-    ConstantVector, MTooLarge, NotMonotone, Profile, ScoreVector, TooFewCandidates,
+    ConstantVector, InvalidInput, MTooLarge, NotMonotone, Profile, ScoreVector, TooFewCandidates,
     all_rankings, antiplurality, borda, k_approval, normalize, parse_rule,
-    plurality, ranking_index, sample_ic, sample_scoreboards, score_matrix,
+    plurality, ranking_index, sample_ic, sample_scoreboards,
     scoreboard, three_candidate, top_two, type_scores,
 )
 from coalition_lp.exact import ManipulationInstance, _coalition_lp
@@ -148,6 +148,20 @@ def test_sample_ic_deterministic():
     assert sample_ic(100, 3, 42) == sample_ic(100, 3, 42)
     assert sample_ic(100, 3, 42) != sample_ic(100, 3, 43)
     assert sample_ic(100, 3, 42).n == 100
+
+
+def test_sampling_refuses_sizes_numpy_cannot_draw():
+    """n outside 1 <= n < 2**63 is InvalidInput before any draw, not an OverflowError or a
+    ZeroDivisionError from inside numpy's multinomial or the limb split."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for n in (0, -1, 2**63, 10**20):
+        with pytest.raises(InvalidInput, match=r"1 <= n < 2\*\*63"):
+            sample_ic(n, 3, 0)
+        with pytest.raises(InvalidInput, match=r"1 <= n < 2\*\*63"):
+            sample_scoreboards(n, borda(4), 3, rng)
+    assert rng.bit_generator.state == state
+    assert sample_ic(2**63 - 1, 3, 0).n == 2**63 - 1
 
 
 def test_sample_ic_uniform_types():
@@ -292,18 +306,6 @@ def test_scoreboards_and_rows_are_pinned():
 
 # weights over a common denominator above 2**53: float(w) is not float(ints) / float(scale) there
 PINNED_MATRIX_RULE = "weights:1,1/999983,1/1000003,1/1000033,1/1000037,0"
-PINNED_MATRICES = (37, "8aee899a774ce281367d2a4210ba917e66220448301338b426f4079fc417b020")
-
-
-def test_score_matrix_is_pinned():
-    """sha256 of the shape, dtype and bytes of score_matrix for _pinned_rules(m), m = 3..8."""
-    digest = hashlib.sha256()
-    rules = [rule for m in range(3, 9) for rule in _pinned_rules(m)]
-    rules.append(parse_rule(PINNED_MATRIX_RULE, 6))
-    for rule in rules:
-        matrix = score_matrix(rule)
-        digest.update(repr((matrix.shape, matrix.dtype)).encode() + matrix.tobytes())
-    assert (len(rules), digest.hexdigest()) == PINNED_MATRICES
 
 
 FLOAT_RULE = normalize([1.0, 0.7, 0.4, 0.15, 0.0])  # floats read exactly: scale 2**55
@@ -347,6 +349,21 @@ def test_module_caches_are_keyed_by_m_alone():
                 if name in ("lru_cache", "cache"):
                     cached.append((path.name, node.name, [arg.arg for arg in node.args.args][:1]))
     assert cached and all(first == ["m"] for _, _, first in cached), cached
+
+
+def test_only_lp_raises_a_bare_value_error():
+    """Every other module's validation errors are InvalidInput, a ValueError subclass.
+
+    lp keeps ValueError: election imports lp.lcd_ints, so lp cannot import election.
+    """
+    raisers = set()
+    for path in sorted(Path(election.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) == "ValueError":
+                    raisers.add(path.stem)
+    assert raisers == {"lp"}
 
 
 # The functions that read is_rational, _is_exact, _close or TIE_TOL: every route a float rule,
