@@ -15,11 +15,12 @@ SeedSequence((*seed, i)), so estimates do not depend on the worker count
 and are reproducible for a fixed seed.  The chunks run on the worker pool
 through _in_order; a convergence experiment passes it its electorate sizes
 (each seeded on its own) and then its limit curve's chunks, as one list.
-Memory is bounded by a block or a batch, not by the sample count: a chunk's
-vertex max runs in BLOCK-row blocks, and each electorate size draws its
-profiles in batches of CELLS // m! profiles.  Their scores are exact
-integer sums rounded once (sample_scoreboards), so no cut of the batches
-moves a bit.
+Memory is bounded by a block or a batch, not by the sample count: a chunk
+draws, sorts and counts its limit draws one BLOCK-row block at a time, in
+one scratch array that each thread allocates once, and each electorate size
+draws its profiles in batches of CELLS // m! profiles.  Their scores are
+exact integer sums rounded once (sample_scoreboards), so no cut of the
+blocks or the batches moves a bit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import enum
 import functools
 import math
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,17 +42,18 @@ from .election import (
 from .reduction import Polytope2D, cone_optimal_vertices, mw_polytope
 
 CHUNK = 1 << 18
-# Rows per network pass: the m columns of a block stay in cache.  Freeing a
-# chunk's 2 MB value array lifts glibc's trim threshold to 4 MB.  At 2^13 rows
-# what a chunk frees stays below it, so glibc keeps those pages for the next
-# chunk; at 2^14 rows (m = 8) it trims them, and every call faults them back in.
+# Rows drawn, sorted and counted at once: the m columns of a block stay in
+# cache.  A block's normals and columns live in the thread's scratch array
+# (_block_scratch), so no block allocates more than a few 64 KB vectors and no
+# chunk holds an array of its own size.  No output bit depends on BLOCK.
 BLOCK = 1 << 13
-# Ballot-type counts a finite-n batch draws at once: 3 MB of int64.  No output
-# bit depends on it (the scores are exact sums); glibc's malloc thresholds,
-# which freeing a batch lifts, fix it.  At 2^17 or 2^18 counts the first m = 8
-# curves after a convergence run fault ~650-1,600 pages back in, at 3 << 17 a
-# few; 2^19 counts raise peak RSS by ~4 MB.
-CELLS = 3 << 17
+# Ballot-type counts a finite-n batch draws at once: 512 KB of int64.  No
+# output bit depends on it (the scores are exact sums).  Freeing an array
+# lifts glibc's mmap and trim thresholds to its size, and every arena then
+# keeps that much in free pages.  Now that no curve chunk frees a 2 MB array
+# they stay low, and later curves still reuse their pages; at 3 << 17 counts
+# the freed batches kept peak RSS ~7 MB higher.
+CELLS = 1 << 16
 Z95 = 1.959963984540054
 
 
@@ -113,30 +116,67 @@ def sample_vw_batch(model: LimitModel, rng, size: int) -> np.ndarray:
     return out
 
 
+_SCRATCH = threading.local()
+
+
+def _block_scratch():
+    """This thread's block scratch: one array of 2 * BLOCK * (MAX_CANDIDATES + 1) floats.
+
+    It is allocated once per thread and serves every m <= MAX_CANDIDATES, as
+    two views: a flat one for a block's (rows, m) normals, and MAX_CANDIDATES + 2
+    BLOCK-long rows for its m columns, the network's spare column and the mean.
+    """
+    views = getattr(_SCRATCH, "views", None)
+    if views is None or views[1].shape[1] != BLOCK:
+        buf = np.empty(2 * BLOCK * (MAX_CANDIDATES + 1))
+        split = MAX_CANDIDATES * BLOCK
+        views = _SCRATCH.views = buf[:split], buf[split:].reshape(-1, BLOCK)
+    return views
+
+
 def _top_two_mean(rng, size, m):
     """Yield (largest, second largest, mean) of each BLOCK-row block of `size` draws of m normals.
 
     Joined, they are bit-equal to z[:, -1], z[:, -2] and z.mean(axis=1) of one
     sorted (size, m) draw: the blocks consume the same stream, and a sorting
     network orders each block's columns (past MAX_CANDIDATES numpy sorts and
-    averages each block).
+    averages each block).  Up to MAX_CANDIDATES the three are views of the
+    thread's scratch array (_block_scratch): they hold one block's values until
+    the thread draws its next block, here or in any other generator, so a
+    caller uses or copies them before then.
     """
-    network = _merge_exchange(m) if m <= MAX_CANDIDATES else None
-    for lo in range(0, size, BLOCK):
-        z = rng.standard_normal((min(BLOCK, size - lo), m))
-        if network is None:
+    if m > MAX_CANDIDATES:
+        for lo in range(0, size, BLOCK):
+            z = rng.standard_normal((min(BLOCK, size - lo), m))
             z.sort(axis=1)
-            c, zbar = z.T, z.mean(axis=1)
+            yield z[:, -1], z[:, -2], z.mean(axis=1)
+        return
+    network = _merge_exchange(m)
+    for lo in range(0, size, BLOCK):
+        rows = min(BLOCK, size - lo)
+        normals, slots = _block_scratch()
+        z = normals[:rows * m].reshape(rows, m)
+        rng.standard_normal(out=z)
+        columns = slots[:m + 2, :rows]
+        np.copyto(columns[:m], z.T)
+        c, spare, zbar = list(columns[:m]), columns[m], columns[m + 1]
+        for i, j in network:
+            np.minimum(c[i], c[j], out=spare)
+            np.maximum(c[i], c[j], out=c[j])
+            c[i], spare = spare, c[i]
+        # the bytes equal z.mean(axis=1) only in numpy's order of a row sum:
+        # left to right below 8 values, a pairwise tree at 8, whose last pair
+        # sum goes to c[0], a column that is not yielded
+        np.add(c[0], c[1], out=zbar)
+        if m < 8:
+            for col in c[2:]:
+                zbar += col
         else:
-            c, spare = list(z.T.copy()), np.empty(len(z))
-            for i, j in network:
-                np.minimum(c[i], c[j], out=spare)
-                np.maximum(c[i], c[j], out=c[j])
-                c[i], spare = spare, c[i]
-            # the bytes equal z.mean(axis=1) only in numpy's order of a row sum:
-            # left to right below 8 values, a pairwise tree at 8
-            zbar = (sum(c[1:], c[0]) if m < 8 else
-                    ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))) / m
+            zbar += np.add(c[2], c[3], out=spare)
+            np.add(c[4], c[5], out=spare)
+            spare += np.add(c[6], c[7], out=c[0])
+            zbar += spare
+        zbar /= m
         yield c[-1], c[-2], zbar
 
 
@@ -283,12 +323,15 @@ def _curve_tasks(model: LimitModel, grid, samples: int, seed):
         raise InvalidInput("grid must be non-decreasing")
     if samples < 10_000:
         raise InvalidInput("need at least 10^4 samples for a stable curve")
-    garr = np.asarray(grid)
+    # the largest float closes the grid: the draws up to it are the finite ones
+    garr = np.append(grid, np.finfo(float).max)
 
     def draw(rng, size):
-        # the last entry counts the finite draws
-        vals = sample_vw_batch(model, rng, size)
-        return np.append(_count_le(vals, garr), np.isfinite(vals).sum())
+        # each block is counted as it is drawn; the last entry counts the finite draws
+        counts = np.zeros(len(garr), dtype=np.int64)
+        for lo in range(0, size, BLOCK):
+            counts += _count_le(sample_vw_batch(model, rng, min(BLOCK, size - lo)), garr)
+        return counts
 
     def finish(results):
         total = sum(results)

@@ -154,15 +154,26 @@ def antiplurality(m: int) -> ScoreVector:
 
 def three_candidate(p) -> ScoreVector:
     """The one-parameter family (1, 1-p, 0) on three candidates, 0 < p <= 1."""
-    p = Fraction(p) if _is_exact(p) or isinstance(p, str) else float(p)
+    try:
+        p = Fraction(p) if _is_exact(p) or isinstance(p, str) else float(p)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"p {p!r} is not a number") from None
     if not 0 < p <= 1:
         raise InvalidInput(f"p must be in (0, 1], got {p}")
     return normalize([1, 1 - p, 0])
 
 
+def _approval(m: int, k: str) -> ScoreVector:
+    try:
+        k = int(k)
+    except ValueError:
+        raise InvalidInput(f"approval count {k!r} is not an integer") from None
+    return k_approval(m, k)
+
+
 # the named rules, each a constructor of m; "approval:" takes the text past its colon too
 _NAMED_RULES = {"borda": borda, "plurality": plurality, "antiplurality": antiplurality,
-                "approval:": lambda m, k: k_approval(m, int(k))}
+                "approval:": _approval}
 
 
 def parse_rule(text: str, m: int | None = None) -> ScoreVector:

@@ -66,7 +66,7 @@ target, the size, and the nodes and seconds spent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -127,12 +127,12 @@ def _strict_top_two(board, what):
 
 
 # One m <= 5 pass fits: instances key (a, b, beta) and the per-rule tables (a, beta, beta),
-# at most 80 keys at m = 5 and 36 at m = 4.  An m = 8 entry holds ~280 KB, so a caller that
-# builds instances for 128 or more (a, b, beta) at m = 8 keeps ~35 MB here.
+# at most 80 keys at m = 5 and 36 at m = 4.  An m = 8 entry holds ~430 KB, so a caller that
+# builds instances for 128 or more (a, b, beta) at m = 8 keeps ~55 MB here.
 @lru_cache(maxsize=128)
 def _type_sets(m, a, b, beta):
-    """pref_types, first_types, strata and ba_types of an instance, in one pass over the types."""
-    pref, first, strata = [], [], [[] for _ in range(m - 1)]
+    """pref_types, first_types, strata, ba_types and stratum_of of an instance, in one pass."""
+    pref, first, strata, stratum_of = [], [], [[] for _ in range(m - 1)], {}
     for t, p in _type_maps(m)[1].items():
         if p[beta] < p[a]:
             pref.append(t)
@@ -140,8 +140,9 @@ def _type_sets(m, a, b, beta):
             first.append(t)
         if p[a] == p[b] + 1:
             strata[p[b]].append(t)
+            stratum_of[t] = p[b]
     strata = tuple(map(tuple, strata))
-    return tuple(pref), tuple(first), strata, sum(strata, ())
+    return tuple(pref), tuple(first), strata, sum(strata, ()), stratum_of
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ class ManipulationInstance:
     pref_types are the types that rank beta above a (the only voters with an
     incentive to join a coalition for beta).  first_types rank beta first.
     strata[i-1] holds the types ranking b in place i and a in place i+1; their
-    union is ba_types.  The strata always refer to the runner-up b, whatever
-    beta is.
+    union is ba_types, and stratum_of maps each of those types to i-1.  The
+    strata always refer to the runner-up b, whatever beta is.
     """
 
     rule: ScoreVector
@@ -165,6 +166,7 @@ class ManipulationInstance:
     first_types: tuple
     strata: tuple
     ba_types: tuple
+    stratum_of: dict = field(repr=False, compare=False)  # shared with _type_sets' cache
 
     @classmethod
     def _build(cls, rule, scores, a, b, beta, profile):
@@ -247,8 +249,11 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
                       f"ballots {Fraction(ys, den)}")
     if strata_z is not None:
         zs, zden = lp.lcd_ints(strata_z)
-        for i, stratum in enumerate(inst.strata):
-            got = sum(x.get(t, 0) for t in stratum)
+        sums = [0] * len(inst.strata)
+        for t, amt in x.items():
+            if (i := inst.stratum_of.get(t)) is not None:
+                sums[i] += amt
+        for i, got in enumerate(sums):
             if missed(-abs(got * zden - zs[i] * den), den * zden):
                 got = Fraction(got, den)
                 issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
@@ -341,7 +346,7 @@ def _score_classes(rule, a, beta, unrestricted):
     """
     ranks = _type_maps(rule.m)[0]
     rows = type_scores(rule)[1]
-    pref, first, _, _ = _type_sets(rule.m, a, beta, beta)
+    pref, first, *_ = _type_sets(rule.m, a, beta, beta)
     others = [c for c in range(rule.m) if c != beta]
     members = {}
     for t in pref:
@@ -396,7 +401,7 @@ def _canonical_lp(rule):
     leaves it as it is.
     """
     scale, rows = type_scores(rule)
-    _, first, _, below = _type_sets(rule.m, 0, 1, 1)
+    _, first, _, below, _ = _type_sets(rule.m, 0, 1, 1)
     others = [alpha for alpha in range(rule.m) if alpha != 1]
     recruits = dict.fromkeys(tuple(row[alpha] - row[1] for alpha in others)
                              for row in map(rows.get, below))

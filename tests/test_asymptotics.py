@@ -166,9 +166,11 @@ def sorted_draw(seed, size, m):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9, 12])
 def test_top_two_mean_is_sort_and_mean(m):
-    # the network-sorted blocks and their column sums, joined, must equal numpy to the last bit
+    # the network-sorted blocks and their column sums, joined, must equal numpy to the last bit;
+    # each block is copied as it is yielded, since the next block reuses the thread's scratch
     for size in (1, BLOCK - 1, BLOCK + 1, CHUNK + 20_000):
-        blocks = list(_top_two_mean(np.random.default_rng(m + size), size, m))
+        blocks = [tuple(map(np.copy, block))
+                  for block in _top_two_mean(np.random.default_rng(m + size), size, m)]
         assert [len(top) for top, _, _ in blocks] == [BLOCK] * (size // BLOCK) + [size % BLOCK]
         top, second, zbar = (np.concatenate(column) for column in zip(*blocks))
         z = sorted_draw(m + size, size, m)
@@ -262,28 +264,54 @@ def test_block_size_moves_no_bit(m, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-# Prints the minor page faults of four 2^19-draw curves in a row, each after a
-# two-batch convergence run when a 4th argument is given.  After each call it
-# waits until the call's workers have left the process: a worker that is still
-# exiting holds its malloc arena, and a new worker would fault in a fresh one.
-FAULTS_PER_CURVE = """
+# The prelude of the page-fault scripts.  faults(call) prints the minor page
+# faults of call() and then waits until the call's workers have left the
+# process: a worker that is still exiting holds its malloc arena, and a new
+# worker would fault in a fresh one.  A worker that has not left after
+# DEADLINE_S fails the script with the count of threads left, instead of
+# hanging it.
+SETTLE = """
 import os, resource, sys, time
+import numpy  # counted in: importing it starts OpenBLAS's threads
+tasks = len(os.listdir("/proc/self/task"))
+DEADLINE_S = 10
+def settle():
+    deadline = time.monotonic() + DEADLINE_S
+    while (left := len(os.listdir("/proc/self/task")) - tasks) > 0:
+        if time.monotonic() > deadline:
+            sys.exit(f"{left} worker threads still running after {DEADLINE_S} s")
+        time.sleep(0.001)
+def faults(call):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    settle()
+"""
+
+# Prints the minor page faults of four 2^19-draw curves in a row, each after a
+# two-batch convergence run when a 4th argument is given.
+FAULTS_PER_CURVE = SETTLE + """
 from coalition_lp.asymptotics import DEFAULT_GRID, convergence_experiment, gw_curve, limit_model
 from coalition_lp.election import parse_rule
 model = limit_model(parse_rule(sys.argv[1], int(sys.argv[2])))
-tasks = len(os.listdir("/proc/self/task"))
-def settle():
-    while len(os.listdir("/proc/self/task")) > tasks:
-        time.sleep(0.001)
 for i in range(4):
     if len(sys.argv) > 4:
         convergence_experiment(parse_rule("borda", 5), (100, 1000), 6_553, seed=(3, i),
                                limit_samples=10_000, threads=2)
         settle()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    gw_curve(model, DEFAULT_GRID, 1 << 19, (3, i), int(sys.argv[3]))
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    settle()
+    faults(lambda: gw_curve(model, DEFAULT_GRID, 1 << 19, (3, i), int(sys.argv[3])))
+"""
+
+# Prints the minor page faults of three rounds of 2^18-draw calls on the main
+# thread: curves at m = 3, 8 and 4, then an m = 5 plateau.
+FAULTS_PER_MIXED_CALL = SETTLE + """
+from coalition_lp.asymptotics import DEFAULT_GRID, gw_curve, limit_model, plateau_probability
+from coalition_lp.election import parse_rule
+models = [limit_model(parse_rule(text, m)) for text, m in (("borda", 3), ("borda", 8), ("plurality", 4))]
+for i in range(3):
+    for model in models:
+        faults(lambda: gw_curve(model, DEFAULT_GRID, 1 << 18, (3, i), 1))
+    faults(lambda: plateau_probability(5, 1 << 18, (3, i), 1))
 """
 
 
@@ -292,8 +320,21 @@ def _child_output(script, *args, **env_vars):
     src = str(Path(asymptotics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=dict(env, **env_vars),
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
     return done.stdout.split()
+
+
+def test_settle_fails_on_a_worker_that_never_leaves():
+    """A thread that outlives its call fails the fault scripts within their deadline."""
+    script = SETTLE + """
+import threading
+DEADLINE_S = 0.2
+threading.Thread(target=time.sleep, args=(60,), daemon=True).start()
+settle()
+"""
+    with pytest.raises(AssertionError, match="1 worker threads still running after 0.2 s"):
+        _child_output(script)
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -322,6 +363,18 @@ def test_curves_after_a_convergence_reuse_their_pages(rule, m):
     """
     faults = list(map(int, _child_output(FAULTS_PER_CURVE, rule, m, 2, "converge")))
     assert max(faults[1:]) < 200, faults
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults that glibc's malloc thresholds cause")
+def test_calls_at_every_m_share_the_thread_scratch():
+    """Curves at m = 3, 8 and 4 and a plateau, in turn on one thread, fault a few pages each.
+
+    Every m <= 8 draws its blocks in the thread's one scratch array, so after
+    the first round no call maps a block array of its own.
+    """
+    faults = list(map(int, _child_output(FAULTS_PER_MIXED_CALL)))
+    assert len(faults) == 12 and max(faults[4:]) < 200, faults
 
 
 def test_gw_curve_deterministic_across_threads():
@@ -572,9 +625,11 @@ def test_monte_carlo_memory_is_bounded_per_block_and_batch():
     """Traced peaks stay below what one chunk's or one trial set's arrays would take.
 
     Drawing a chunk's vertex max at once peaked at 28 MB, and all 2,000 m = 7
-    profiles at once at 154 MB; 2^13-row blocks and batches of CELLS counts
-    take ~5.8-6.4 and ~4.5 MB (~8.2 MB with 2^14-row blocks, and ~10.1 MB
-    when each batch's counts were also copied to floats for a BLAS product).
+    profiles at once at 154 MB; 2^13-row blocks counted as they are drawn,
+    two threads' block scratch and batches of 2^16 counts take ~2.9 and
+    ~1.5 MB (~5.7 and ~4.5 MB with a 2 MB value array per chunk and batches
+    of 3 << 17 counts, ~10.1 MB when each batch's counts were also copied to
+    floats for a BLAS product).
     """
     model, rule = limit_model(borda(3)), borda(7)
     limit_model(rule), sample_scoreboards(50, rule, 1, np.random.default_rng(0))  # rule's tables
@@ -583,6 +638,19 @@ def test_monte_carlo_memory_is_bounded_per_block_and_batch():
     m7 = _traced_peak(lambda: convergence_experiment(rule, (50,), 2_000,
                                                      limit_samples=20_000, threads=1))
     assert m7 < 16 * 2**20, m7
+
+
+def test_a_curve_chunk_holds_no_chunk_sized_array():
+    """One single-thread 2^18-draw m = 8 curve peaks at ~0.4 MB traced.
+
+    Its blocks are counted as they are drawn, so no 2 MB value array is
+    built (the whole curve peaked at 4.6 MB when one was), and the thread's
+    1.2 MB block scratch, allocated by the first curve, is not allocated again.
+    """
+    model = limit_model(borda(8))
+    gw_curve(model, DEFAULT_GRID, 10_000, seed=1, threads=1)
+    peak = _traced_peak(lambda: gw_curve(model, DEFAULT_GRID, CHUNK, seed=1, threads=1))
+    assert peak < 2**20, peak
 
 
 def _refuse_draws(monkeypatch):

@@ -62,6 +62,19 @@ def test_parse_rule_grammar():
         parse_rule("condorcet", 3)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: parse_rule("approval:x", 3), "approval count 'x' is not an integer"),
+    (lambda: parse_rule("approval:1.5", 4), "approval count '1.5' is not an integer"),
+    (lambda: three_candidate("x"), "p 'x' is not a number"),
+    (lambda: three_candidate("1/0"), "p '1/0' is not a number"),
+], ids=["approval-word", "approval-fraction", "p-word", "p-zero-denominator"])
+def test_bad_rule_text_is_invalid_input(build, message):
+    """int() and Fraction() failures on rule text surface as InvalidInput, not a bare ValueError."""
+    with pytest.raises(InvalidInput) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_rule_statistics():
     b3 = borda(3)
     assert b3.mean == Fraction(1, 2)
