@@ -42,6 +42,7 @@ from .election import (
 from .reduction import Polytope2D, cone_optimal_vertices, mw_polytope
 
 CHUNK = 1 << 18
+MAX_SAMPLES = 1 << 32  # 2**14 chunk tasks, ~29 MB of them and their futures before any draw
 # Rows drawn, sorted and counted at once: the m columns of a block stay in
 # cache.  A block's normals and columns live in the thread's scratch array
 # (_block_scratch), so no block allocates more than a few 64 KB vectors and no
@@ -298,10 +299,11 @@ def _chunk_tasks(samples: int, seed, draw) -> list:
 
     Chunk i draws from SeedSequence((*seed, i)), so the sum of the results
     does not depend on how many worker threads run the tasks.  A sample
-    count below 1 is refused, for every sampler that chunks through here.
+    count below 1 or above MAX_SAMPLES is refused, for every sampler that
+    chunks through here.
     """
-    if samples < 1:
-        raise InvalidInput(f"need at least one sample, got {samples}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise InvalidInput(f"need 1 <= samples <= 2**32, got {samples}")
     base = _seed_tuple(seed)
     sizes = [CHUNK] * (samples // CHUNK) + [samples % CHUNK] * bool(samples % CHUNK)
 

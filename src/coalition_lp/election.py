@@ -7,10 +7,12 @@ ranking of all candidates, best first.  A positional rule assigns weight
 
 Arithmetic is exact (fractions.Fraction) whenever every weight is rational,
 which is the default for the named rules.  A rule given as floats has its
-weights read exactly (integer_weights, by lp.lcd_ints, and type_scores,
+weights read exactly (integer_weights, by lp.lcd_ints, and
 sample_scoreboards, mean, variance) except on the routes that stay float:
 its scoreboard sums the float weights, its ties are tested to within
-TIE_TOL, and its LP values are float solves.
+TIE_TOL, and its LP values are float solves.  A rational scoreboard is the
+profile's position counts (Profile.positions) times integer_weights; a
+rule keeps no per-type score table but the sampling one (_score_limbs).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .lp import lcd_ints
@@ -241,7 +243,7 @@ class Profile:
         _check_m(self.m)
         if len(self.counts) != math.factorial(self.m):
             raise InvalidInput("counts must have length m!")
-        if any(isinstance(c, bool) or c < 0 or c != int(c) for c in self.counts):
+        if not all(_is_int(c) and c >= 0 for c in self.counts):
             raise InvalidInput("counts must be non-negative integers")
         if sum(self.counts) < 1:
             raise InvalidInput("profile needs at least one voter")
@@ -252,7 +254,7 @@ class Profile:
         _check_m(m)
         dense = [0] * math.factorial(m)
         for ranking, c in counts.items():
-            if isinstance(c, bool):  # 0 + True would pass as the int 1
+            if not _is_int(c):  # 0 + True would pass as the int 1, 0 + "1" as a TypeError
                 raise InvalidInput("counts must be non-negative integers")
             dense[ranking_index(ranking, m)] += c
         return cls(m, tuple(dense))
@@ -260,6 +262,11 @@ class Profile:
     @property
     def n(self) -> int:
         return sum(self.counts)
+
+    @functools.cached_property  # kept in the instance's __dict__, which eq, hash and replace() skip
+    def positions(self) -> tuple:
+        """positions[c][p]: how many voters rank candidate c in place p (0 is first)."""
+        return tuple(tuple(sum(get(self.counts)) for get in row) for row in _place_index(self.m))
 
     def items(self):
         """Yield (ranking, count) for every type with a positive count."""
@@ -337,6 +344,16 @@ def _type_maps(m):
     return {t: i for i, t in enumerate(types)}, {t: tuple(map(t.index, range(m))) for t in types}
 
 
+@functools.lru_cache(maxsize=8)
+def _place_index(m):
+    """index[c][p]: an itemgetter of the counts of the types that rank candidate c in place p."""
+    ranks = [[[] for _ in range(m)] for _ in range(m)]
+    for i, places in enumerate(_type_maps(m)[1].values()):
+        for c, p in enumerate(places):
+            ranks[c][p].append(i)
+    return tuple(tuple(itemgetter(*row) for row in rows) for rows in ranks)  # (m-1)! >= 2 each
+
+
 def per_rule(build):
     """Memoize build(rule, *args) in the rule's __dict__, which eq, hash, repr and replace() skip."""
     key = f"{build.__module__}.{build.__qualname__}"
@@ -357,35 +374,8 @@ def integer_weights(rule: ScoreVector) -> tuple:
 
 
 @per_rule
-def type_scores(rule: ScoreVector) -> tuple:
-    """(scale, rows): rows[t][c] / scale is what one ballot of type t gives candidate c.
-
-    rows maps every type, in all_rankings order, to ints over integer_weights'
-    scale, for a rule given as floats too.
-    """
-    scale, w = integer_weights(rule)
-    return scale, {t: tuple(w[p] for p in places) for t, places in _type_maps(rule.m)[1].items()}
-
-
-@per_rule
-def _packed_rows(rule: ScoreVector, nbits: int) -> tuple:
-    """(scale, lo, width, rows) of a rational rule: rows[t] packs type t's int scores.
-
-    Candidate c's score minus lo sits at bit width*c.  A field sums fewer
-    than 2**nbits ballots of at most max - lo each, so it stays below
-    2**width and never carries into the next candidate's.
-    """
-    scale, w = integer_weights(rule)
-    lo = min(w)
-    width = nbits + (max(w) - lo).bit_length()
-    rows = tuple(sum((w[p] - lo) << width * c for c, p in enumerate(places))
-                 for places in _type_maps(rule.m)[1].values())
-    return scale, lo, width, rows
-
-
-@per_rule
 def _score_limbs(rule: ScoreVector, count: int, dtype) -> tuple:
-    """(width, tables): type_scores' ints cut into `count` limbs of `width` bits, high limb first.
+    """(width, tables): every type's int scores cut into `count` limbs of `width` bits, high first.
 
     Each table is an (m!, m) array of `dtype` in column-major order, so a
     count row meets each candidate's column in contiguous memory.
@@ -403,21 +393,19 @@ def _score_limbs(rule: ScoreVector, count: int, dtype) -> tuple:
 
 
 def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
-    """Candidate totals, summed over the types with a positive count.
+    """Candidate totals: a rational rule's from the profile's position counts, in ints.
 
-    A rational rule's are one int sum of packed rows (_packed_rows), split
-    into its candidates' fields; a float rule's float weights are added in
-    type order.
+    Candidate c scores sum_p w[p] * positions[c][p]: the integer weights'
+    dot product over their scale.  A float rule's float weights are added
+    over the types with a positive count, in type order.
     """
     if rule.m != profile.m:
         raise InvalidInput("rule and profile must share m")
     m, n, counts = profile.m, profile.n, profile.counts
     if rule.is_rational:
-        scale, lo, width, rows = _packed_rows(rule, max(64, n.bit_length()))
-        total = sum(map(mul, itertools.compress(rows, counts), itertools.compress(counts, counts)))
-        mask = (1 << width) - 1
-        scores = (((total >> width * c) & mask) + lo * n for c in range(m))
-        return Scoreboard(tuple(Fraction(s, scale) for s in scores), n)
+        scale, ints = integer_weights(rule)
+        return Scoreboard(tuple(Fraction(sum(map(mul, row, ints)), scale)
+                                for row in profile.positions), n)
     weights, scores = rule.weights, [0.0] * m
     for places, c in zip(itertools.compress(_type_maps(m)[1].values(), counts),
                          itertools.compress(counts, counts)):
@@ -459,7 +447,7 @@ def sample_ic(n: int, m: int, seed) -> Profile:
 def sample_scoreboards(n: int, rule: ScoreVector, trials: int, rng) -> np.ndarray:
     """Vectorized IC sampling: (trials, m) float array of candidate scores.
 
-    Each score is its exact sum over type_scores' scale rounded once, as
+    Each score is its exact sum over integer_weights' scale rounded once, as
     float(Fraction(sum, scale)), so it is the same bytes however the
     profiles are batched and on any CPU.  The counts meet the rule's integer
     table limb by limb (_score_limbs), and each limb's sums stay below 2**31

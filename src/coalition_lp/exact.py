@@ -80,10 +80,10 @@ from .election import (
     ScoreVector,
     Scoreboard,
     _type_maps,
+    integer_weights,
     per_rule,
     scoreboard,
     top_two,
-    type_scores,
 )
 
 
@@ -260,9 +260,9 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
     # lhs(alpha) = sum_y amt * (scale - row[alpha]) - sum_x amt * (row[target] - row[alpha]),
     # over unit; the leads over the target are over sden
     target = inst.beta
-    scale, rows = type_scores(inst.rule)
+    scale, ints = integer_weights(inst.rule)
     unit = scale * den
-    got_x, got_y = _candidate_totals(x, rows, inst.m), _candidate_totals(y, rows, inst.m)
+    got_x, got_y = _candidate_totals(x, ints, inst.m), _candidate_totals(y, ints, inst.m)
     base = scale * ys - got_x[target]
     lead, sden = lp.lcd_ints(inst.scores)
     for alpha in range(inst.m):
@@ -274,12 +274,12 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
     return issues
 
 
-def _candidate_totals(amounts, rows, m):
-    """sum_t amounts[t] * rows[t][c] for every candidate c."""
-    totals = [0] * m
+def _candidate_totals(amounts, ints, m):
+    """sum_t amounts[t] * ints[p_t(c)] for every candidate c, p_t(c) being c's place in t."""
+    totals, places = [0] * m, _type_maps(m)[1]
     for t, amt in amounts.items():
-        for c, s in enumerate(rows[t]):
-            totals[c] += amt * s
+        for c, p in enumerate(places[t]):
+            totals[c] += amt * ints[p]
     return totals
 
 
@@ -340,13 +340,14 @@ def _score_classes(rule, a, beta, unrestricted):
     type with that row and its index, in all_rankings order, and how far one
     recruit narrows each other candidate's lead over beta, row[c] - row[beta];
     classes go in the order of their first types.  ballots holds, of each
-    distinct row among the types ranking beta first (every type when
-    unrestricted), (the last type holding it, its loads row[c]), in that
-    order.  gains and loads run over c != beta in label order.
+    distinct row among the types ranking beta first (all in pref; every
+    type when unrestricted), (the last type holding it, its loads row[c]),
+    in that order.  gains and loads run over c != beta in label order.
     """
-    ranks = _type_maps(rule.m)[0]
-    rows = type_scores(rule)[1]
+    ranks, places = _type_maps(rule.m)
+    ints = integer_weights(rule)[1]
     pref, first, *_ = _type_sets(rule.m, a, beta, beta)
+    rows = {t: tuple(ints[p] for p in places[t]) for t in (ranks if unrestricted else pref)}
     others = [c for c in range(rule.m) if c != beta]
     members = {}
     for t in pref:
@@ -400,13 +401,14 @@ def _canonical_lp(rule):
     in the order found; it stops growing at MAX_CERTIFICATES, and a hit
     leaves it as it is.
     """
-    scale, rows = type_scores(rule)
+    scale, ints = integer_weights(rule)
+    places = _type_maps(rule.m)[1]
     _, first, _, below, _ = _type_sets(rule.m, 0, 1, 1)
     others = [alpha for alpha in range(rule.m) if alpha != 1]
-    recruits = dict.fromkeys(tuple(row[alpha] - row[1] for alpha in others)
-                             for row in map(rows.get, below))
-    ballots = dict.fromkeys(tuple(scale - row[alpha] for alpha in others)
-                            for row in map(rows.get, first))
+    recruits = dict.fromkeys(tuple(ints[p[alpha]] - ints[p[1]] for alpha in others)
+                             for p in map(places.get, below))
+    ballots = dict.fromkeys(tuple(scale - ints[p[alpha]] for alpha in others)
+                            for p in map(places.get, first))
     columns = [(*column, -1) for column in recruits] + [(*column, 1) for column in ballots]
     cost = (1,) * len(recruits) + (0,) * len(ballots)
     return cost, tuple(zip(*columns)), []
@@ -428,7 +430,7 @@ def _certified_value(inst):
         value = _answer(certificate, d, den)
         if value is not None:
             return value
-    scale = type_scores(inst.rule)[0]
+    scale = integer_weights(inst.rule)[0]
     program = lp.LinearProgram(cost, "min", (
         *((row, ">=", Fraction(scale * x, den)) for row, x in zip(rows, d)), (rows[-1], "=", 0)))
     out = _solved(program)
@@ -556,7 +558,7 @@ def _integer_tables(inst):
     """
     if not inst.rule.is_rational:
         raise InvalidInput("the exact search needs a rational rule")
-    scale = type_scores(inst.rule)[0]
+    scale = integer_weights(inst.rule)[0]
     base = [s.numerator * scale // s.denominator for s in inst.scores]
     return scale, [d - base[inst.beta] for c, d in enumerate(base) if c != inst.beta]
 

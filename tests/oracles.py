@@ -4,8 +4,9 @@ Nothing here imports the solver or search code under test.  The LP oracle
 enumerates basic points directly and the brute coalition oracle tries every
 recruit/ballot multiset; both are exponential and only meant for tiny
 inputs.  The polytope oracle intersects the dual's half-planes pairwise in
-Fractions.  The milp coalition oracle hands program (1) to scipy's HiGHS
-branch and bound, for profiles too big to brute-force.
+Fractions, and the score-row oracle reads every type's scores from sigma.
+The milp coalition oracle hands program (1) to scipy's HiGHS branch and
+bound, for profiles too big to brute-force.
 """
 
 import functools
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from coalition_lp.election import all_rankings, scoreboard, top_two
+from coalition_lp.election import all_rankings, scoreboard, sigma, top_two
 
 
 def _basic_points(cons, n):
@@ -216,3 +217,14 @@ def polytope_vertices(rule):
     ring = sorted(points, key=functools.cmp_to_key(before))
     start = ring.index(min(points))
     return tuple(ring[start:] + ring[:start])
+
+
+def type_rows(rule):
+    """(scale, rows): rows[t][c] / scale == sigma(t, c, rule) for every type t, in ints.
+
+    scale is the lcm of the weights' denominators, floats read exactly.
+    """
+    scale = math.lcm(*(Fraction(w).denominator for w in rule.weights))
+    as_int = {w: int(Fraction(w) * scale) for w in rule.weights}
+    return scale, {t: tuple(as_int[sigma(t, c, rule)] for c in range(rule.m))
+                   for t in all_rankings(rule.m)}

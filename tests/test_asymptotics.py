@@ -685,10 +685,13 @@ def test_convergence_checks_every_size_before_any_task(monkeypatch):
 
 
 def test_samplers_refuse_sample_counts_below_one(monkeypatch):
-    """A sample count below 1 is InvalidInput, not p = -9182.0 or a ZeroDivisionError."""
+    """A sample count below 1 is InvalidInput, not p = -9182.0 or a ZeroDivisionError.
+
+    So is one above 2**32, before its chunk tasks fill memory.
+    """
     _refuse_draws(monkeypatch)
-    for samples in (0, -5):
-        with pytest.raises(InvalidInput, match="at least one sample"):
+    for samples in (0, -5, 2**32 + 1):
+        with pytest.raises(InvalidInput, match=r"1 <= samples <= 2\*\*32"):
             plateau_probability(4, samples=samples)
 
 

@@ -269,6 +269,7 @@ BAD_PROFILES = {
     ["polytope", "--rule", "weights:1,inf,0", "--m", "3"],
     ["polytope", "--rule", "weights:1,x,0", "--m", "3"],
     ["converge", "--rule", "borda", "--m", "3", "--n-list", "99999999999999999999"],
+    ["gw", "--rule", "borda", "--m", "3", "--samples", "1000000000000000000"],
 ])
 def test_invalid_input_is_one_line_exit_2(argv, tmp_path, capsys, monkeypatch):
     files = {}

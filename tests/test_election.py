@@ -15,10 +15,11 @@ from coalition_lp.election import (
     ConstantVector, InvalidInput, MTooLarge, NotMonotone, Profile, ScoreVector, TooFewCandidates,
     all_rankings, antiplurality, borda, k_approval, normalize, parse_rule,
     plurality, ranking_index, sample_ic, sample_scoreboards,
-    scoreboard, three_candidate, top_two, type_scores,
+    scoreboard, three_candidate, top_two,
 )
 from coalition_lp.exact import ManipulationInstance, _coalition_lp
 from coalition_lp.reduction import k_constant
+from oracles import type_rows
 
 
 def test_normalize_is_affine_invariant():
@@ -110,13 +111,12 @@ def test_top_two_tie():
 
 
 def test_from_counts_keeps_counts_unconverted():
-    """A fractional or bool count is refused, as Profile refuses it, not truncated to an int."""
-    for counts in ({(0, 1, 2): 1.5}, {(0, 1, 2): 1, (1, 0, 2): True}):
-        with pytest.raises(ValueError, match="non-negative integers"):
-            Profile.from_counts(3, counts)
-    for counts in ((1.5, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0)):
-        with pytest.raises(ValueError, match="non-negative integers"):
-            Profile(3, counts)
+    """A count that is no int, or a bool, is InvalidInput, as Profile refuses it, not converted."""
+    for bad in (1.5, True, 1.0, math.inf, math.nan, "1"):
+        with pytest.raises(InvalidInput, match="non-negative integers"):
+            Profile.from_counts(3, {(0, 1, 2): 1, (1, 0, 2): bad})
+        with pytest.raises(InvalidInput, match="non-negative integers"):
+            Profile(3, (bad, 0, 0, 0, 0, 1))
     assert Profile.from_counts(3, {(0, 1, 2): 2, (2, 1, 0): 1}).counts == (2, 0, 0, 0, 0, 1)
 
 
@@ -224,9 +224,12 @@ def sparse_profiles(draw, m):
 
 def _assert_fraction_sum(prof, rule):
     naive = [Fraction(0)] * prof.m
+    tally = [[0] * prof.m for _ in range(prof.m)]
     for ranking, c in prof.items():
         for pos, cand in enumerate(ranking):
             naive[cand] += c * Fraction(rule.weights[pos])
+            tally[cand][pos] += c
+    assert prof.positions == tuple(map(tuple, tally))
     board = scoreboard(prof, rule)
     assert board.scores == tuple(naive)
     assert all(type(s) is Fraction for s in board.scores)
@@ -245,7 +248,7 @@ def test_sparse_rational_scoreboard_is_the_fraction_sum(case):
 
 
 def test_rational_scoreboard_fields_never_carry():
-    """Negative weights and counts past 2**64, where each candidate's packed field widens."""
+    """Negative weights and counts past 2**64: position counts and scores stay exact ints."""
     rule = ScoreVector((3, Fraction(1, 2), 0, -2))
     for count in (1, 2**64 - 1, 2**64, 3**90):
         prof = Profile.from_counts(4, {(0, 1, 2, 3): count, (3, 2, 1, 0): count + 1, (1, 3, 0, 2): 7})
@@ -339,7 +342,7 @@ def test_sampled_scores_are_exact_sums_rounded_once(m):
     assert election.integer_weights(parse_rule(PINNED_MATRIX_RULE, 6))[0] > 2**63
     fact = math.factorial(m)
     for rule in _sampled_rules(m):
-        scale, rows = type_scores(rule)
+        scale, rows = type_rows(rule)
         columns = list(zip(*rows.values()))
         for n in (7, 100, 1001, 3**20):  # 3**20 voters take the int64 sums
             got = sample_scoreboards(n, rule, 3, np.random.default_rng((m, n)))
@@ -412,12 +415,12 @@ def test_float_arithmetic_stays_on_its_routes():
 
 
 def test_float_rules_read_their_weights_exactly():
-    """A float rule's score rows, mean, variance, sigma and k_constant are its Fraction twin's."""
+    """A float rule's integer weights, mean, variance, sigma and k_constant are its twin's."""
     for raw in ((1.0, 0.8, 0.55, 0.3, 0.1, 0.0), (1.0, 0.7, 0.4, 0.15, 0.0), (1.0, 1.0, 0.5, 0.0),
                 (1.0, 0.3, 0.0), (1.0, 1.0, 0.0), [math.sqrt(4 - pos) for pos in range(5)]):
         rule = normalize(raw)
         twin = normalize(map(Fraction, rule.weights))
         assert not rule.is_rational and twin.is_rational and twin == rule
-        assert type_scores(rule) == type_scores(twin)
+        assert election.integer_weights(rule) == election.integer_weights(twin)
         for stat in (lambda r: r.mean, lambda r: r.variance, lambda r: r.sigma, k_constant):
             assert (stat(rule), type(stat(rule))) == (stat(twin), type(stat(twin))), raw

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from coalition_lp import election, exact, lp
 from coalition_lp.election import (
-    Profile, all_rankings, antiplurality, borda, normalize, parse_rule,
-    plurality, sample_ic, scoreboard, sigma, top_two, type_scores,
+    Profile, all_rankings, antiplurality, borda, integer_weights, normalize, parse_rule,
+    plurality, sample_ic, scoreboard, sigma, top_two,
 )
 from coalition_lp.exact import (
     CoalitionPlan, InstanceTooLarge, ManipulationInstance, NotStrictWinner, mcs_exact,
@@ -25,7 +25,7 @@ from coalition_lp.exact import (
 from coalition_lp.reduction import (
     MarginPair, cone_optimal_vertices, k_constant, mw_polytope, q_dual,
 )
-from oracles import brute_mcs, milp_mcs
+from oracles import brute_mcs, milp_mcs, type_rows
 
 PLURALITY_TINY = Profile.from_counts(3, {(0, 1, 2): 4, (1, 0, 2): 3, (2, 1, 0): 1})
 BORDA_TINY = Profile.from_counts(3, {(0, 1, 2): 4, (1, 0, 2): 2, (2, 1, 0): 1})
@@ -394,7 +394,7 @@ def test_lp_column_counts_are_pinned():
 
 def _all_pairs_lp_columns(rule):
     """{(a, beta): (recruits, ballots)} of every pair in one table: the reference for _canonical_lp."""
-    rows = type_scores(rule)[1]
+    rows = type_rows(rule)[1]
     recruits = {pair: {} for pair in itertools.permutations(range(rule.m), 2)}
     for i in range(rule.m - 1):  # stratum by stratum, as ba_types
         for t, row in rows.items():
@@ -420,7 +420,7 @@ def test_lp_columns_per_pair_match_the_all_pairs_table():
             assert len(table) == m * (m - 1)
             assert {tuple(map(len, columns)) for columns in table.values()} \
                 == {_column_counts(rule)}, (m, rule)
-            scale, rows = type_scores(rule)
+            scale, rows = type_rows(rule)
             others = [alpha for alpha in range(m) if alpha != 1]
             recruits, ballots = table[0, 1]
             columns = [(*(rows[t][alpha] - rows[t][1] for alpha in others), -1) for t in recruits]
@@ -861,9 +861,10 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
 
     Scoreboards and coalition programs are each rule's own, whichever comes
     first: a float rule's scoreboard sums its float weights and builds no
-    table.  A float rule never reads the certificates a rational q3 stored,
-    and stores none.  Its score rows and polytope read its weights exactly:
-    equal to the rational rule's, in objects of its own.
+    table, a rational rule's builds its integer weights alone.  A float rule
+    never reads the certificates a rational q3 stored, and stores none.  Its
+    integer weights and polytope read its weights exactly: equal to the
+    rational rule's, in objects of its own.
     """
     solved, answered = [], []
     real_solve, real_answer = lp.solve, exact._answer
@@ -885,10 +886,9 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
             kind = Fraction if rule is rational else float
             board = scoreboard(BORDA_TINY, rule)
             assert {type(s) for s in board.scores} == {kind}
-            assert _tables_of(rule) == ({"integer_weights", "_packed_rows"} if rule is rational
-                                        else set())
-            scale, rows = type_scores(rule)
-            assert scale == 2 and {type(s) for row in rows.values() for s in row} == {int}
+            assert _tables_of(rule) == ({"integer_weights"} if rule is rational else set())
+            scale, ints = integer_weights(rule)
+            assert (scale, ints) == (2, (2, 1, 0)) and {type(s) for s in ints} == {int}
             inst = ManipulationInstance.from_profile(BORDA_TINY, rule)
             program = exact._coalition_lp(inst, inst.pref_types)
             assert program.is_rational is (rule is rational)
@@ -909,12 +909,15 @@ def test_rule_tables_keep_float_and_rational_rules_apart(monkeypatch):
             assert {type(c) for point in cone_optimal_vertices(poly) for c in point} == {Fraction}
         assert mw_polytope(rational) is not mw_polytope(floating)
         assert repr(mw_polytope(rational)) == repr(mw_polytope(floating))
-        assert type_scores(rational) is not type_scores(floating)
-        assert type_scores(rational) == type_scores(floating)
+        assert integer_weights(rational) is not integer_weights(floating)
+        assert integer_weights(rational) == integer_weights(floating)
 
 
 def test_rule_tables_leave_the_rule_as_it_was():
-    """Built tables change no repr, eq or hash; the same object reuses them, a copy starts empty."""
+    """Built tables change no repr, eq or hash; the same object reuses them, a copy starts empty.
+
+    So do a profile's position counts, which every rational rule's scoreboard reads.
+    """
     profile = sample_ic(50, 4, (9, 50, 1))  # a strict winner under every rule
     for rule in _bound_rules(4):
         before = repr(rule), hash(rule)
@@ -924,40 +927,46 @@ def test_rule_tables_leave_the_rule_as_it_was():
         poly = mw_polytope(rule)
         built = {"integer_weights", "mw_polytope"}  # a float rule's scoreboard and q3 build none
         if rule.is_rational:
-            built |= {"type_scores", "_packed_rows", "_canonical_lp"}
+            built |= {"_canonical_lp"}
         assert _tables_of(rule) == built
         assert (repr(rule), hash(rule)) == before and rule == normalize(rule.weights)
         assert [f.name for f in dataclasses.fields(rule)] == ["weights"]
         assert dataclasses.asdict(rule) == {"weights": rule.weights}
-        assert type_scores(rule) is type_scores(rule) and mw_polytope(rule) is poly
-        if rule.is_rational:
-            assert election._packed_rows(rule, 64) is election._packed_rows(rule, 64)
-            assert election._packed_rows(rule, 65) is not election._packed_rows(rule, 64)
+        assert integer_weights(rule) is integer_weights(rule) and mw_polytope(rule) is poly
         copy = dataclasses.replace(rule)
         assert copy == rule and vars(copy) == {"weights": rule.weights}
         assert mw_polytope(copy) is not poly and repr(mw_polytope(copy)) == repr(poly)
-        assert type_scores(copy) is not type_scores(rule) and type_scores(copy) == type_scores(rule)
+        assert integer_weights(copy) is not integer_weights(rule)
+        assert integer_weights(copy) == integer_weights(rule)
         assert q3(ManipulationInstance.from_profile(profile, copy)) == q3(inst)
+    positions = profile.positions
+    assert vars(profile) == {"m": 4, "counts": profile.counts, "positions": positions}
+    assert profile.positions is positions and repr(profile) == repr(Profile(4, profile.counts))
+    copy = dataclasses.replace(profile)
+    assert copy == profile and hash(copy) == hash(profile) and "positions" not in vars(copy)
+    assert copy.positions is not positions and copy.positions == positions
 
 
 def test_dropped_rules_return_their_tables():
-    """16 m = 8 rules, each given its score rows, sampling table and polytope and then dropped,
-    leave < 5 MB traced.
+    """16 m = 8 rules, each scoring a profile and given its sampling table and polytope and then
+    dropped, leave < 5 MB traced; scoring and the polytope keep no per-type table on a rule.
 
-    Caches keyed by the weights, 16 entries each, kept ~84 MB of these rows.
-    Every table is held the same way, so the score rows, 5.5 MB a rule, and
-    the integer table that sampled profiles are scored with, 1.3 MB, stand
-    for them all; the packed rows would triple the time spent under tracing.
+    Caches keyed by the weights, 16 entries each, kept ~84 MB of score rows.
+    Every table is held the same way, so the one m!-sized table a rule keeps,
+    the 1.3 MB integer table that sampled profiles are scored with, stands
+    for them all.  Scores are read from the profile's position counts.
     """
-    type_scores(borda(8))  # the per-m type maps stay; build them before tracing
+    profile = sample_ic(1000, 8, (9, 1000, 0))
+    scoreboard(profile, borda(8))  # the per-m type maps and place index stay; build them first
     tracemalloc.start()
     try:
         for i in range(16):
             rule = normalize([8 + i, *range(6, -1, -1)])
-            type_scores(rule), mw_polytope(rule)
+            before = tracemalloc.get_traced_memory()[0]
+            scoreboard(profile, rule), mw_polytope(rule)
+            assert tracemalloc.get_traced_memory()[0] - before < 2**16  # one m!-long tuple: 315 KB
             election.sample_scoreboards(50, rule, 1, np.random.default_rng(i))
-            assert _tables_of(rule) == {"integer_weights", "type_scores", "_score_limbs",
-                                        "mw_polytope"}
+            assert _tables_of(rule) == {"integer_weights", "_score_limbs", "mw_polytope"}
         del rule
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
