@@ -11,8 +11,9 @@ weights read exactly (integer_weights, by lp.lcd_ints, and
 sample_scoreboards, mean, variance) except on the routes that stay float:
 its scoreboard sums the float weights, its ties are tested to within
 TIE_TOL, and its LP values are float solves.  A rational scoreboard is the
-profile's position counts (Profile.positions) times integer_weights; a
-rule keeps no per-type score table but the sampling one (_score_limbs).
+profile's position counts (Profile.positions) times integer_weights, and it
+keeps those int sums as its one exact form (Scoreboard.ints); a rule keeps
+no per-type score table but the sampling one (_score_limbs).
 """
 
 from __future__ import annotations
@@ -324,16 +325,27 @@ class Scoreboard:
     def m(self) -> int:
         return len(self.scores)
 
-    @property
+    @functools.cached_property  # kept in the instance's __dict__, which eq, hash and replace() skip
+    def ints(self) -> tuple:
+        """(nums, den): the scores as ints over a common denominator, read by every exact route.
+
+        Floats are read exactly.  den need not be the lowest: scoreboard()
+        seeds a rational rule's board with its sums over integer_weights' scale.
+        """
+        nums, den = lcd_ints(self.scores)
+        return tuple(nums), den
+
+    @functools.cached_property  # kept like ints
     def order(self) -> tuple:
         """Candidates sorted by score, best first; ties broken by candidate index."""
-        return tuple(sorted(range(self.m), key=self.scores.__getitem__, reverse=True))
+        return tuple(sorted(range(self.m), key=self.ints[0].__getitem__, reverse=True))
 
     @property
     def mean(self):
         """The common mean score n * wbar."""
         if all(_is_exact(s) for s in self.scores):
-            return Fraction(sum(self.scores), self.m)
+            nums, den = self.ints
+            return Fraction(sum(nums), den * self.m)
         return sum(self.scores) / self.m
 
 
@@ -396,16 +408,19 @@ def scoreboard(profile: Profile, rule: ScoreVector) -> Scoreboard:
     """Candidate totals: a rational rule's from the profile's position counts, in ints.
 
     Candidate c scores sum_p w[p] * positions[c][p]: the integer weights'
-    dot product over their scale.  A float rule's float weights are added
-    over the types with a positive count, in type order.
+    dot product over their scale, which the board keeps as its ints.  A float
+    rule's float weights are added over the types with a positive count, in
+    type order.
     """
     if rule.m != profile.m:
         raise InvalidInput("rule and profile must share m")
     m, n, counts = profile.m, profile.n, profile.counts
     if rule.is_rational:
         scale, ints = integer_weights(rule)
-        return Scoreboard(tuple(Fraction(sum(map(mul, row, ints)), scale)
-                                for row in profile.positions), n)
+        nums = tuple(sum(map(mul, row, ints)) for row in profile.positions)
+        board = Scoreboard(tuple(Fraction(s, scale) for s in nums), n)
+        board.__dict__["ints"] = nums, scale  # the cached_property's slot, seeded
+        return board
     weights, scores = rule.weights, [0.0] * m
     for places, c in zip(itertools.compress(_type_maps(m)[1].values(), counts),
                          itertools.compress(counts, counts)):

@@ -22,23 +22,26 @@ with identical columns only one: plurality at m = 6 goes from 360 + 120
 columns to 5 + 1.  The value is unchanged.  q2 keeps the whole pool, since
 its per-type bounds break the dominance, and so does a float rule, whose q3
 and q_program2 are float solves.  A plan is verified in one arithmetic:
-every amount, score and z entry is read exactly (lp.lcd_ints), floats too,
-and summed and scored in ints.
+every amount and z entry is read exactly (lp.lcd_ints), floats too, and
+summed and scored in ints.
 
-A rational rule answers q3 and q_program2 from certificates where it can,
-reading its scores exactly, floats too.  With the winner a relabelled 0, the
-target beta 1 and the others 2.. by descending score, every (a, beta) is one
-program per rule (_canonical_lp) and only its right-hand side D, the leads
-over beta, moves.  An optimal basis B stays optimal wherever B^-1 D >= 0,
-since a change of right-hand side keeps it dual feasible (Bertsimas &
-Tsitsiklis, Introduction to Linear Optimization, 1997, section 5.1), and a
-Farkas ray y proves every D with y . D > 0 unreachable.  A right-hand side
-that none of the rule's stored certificates (at most MAX_CERTIFICATES)
-answers is solved, and the certificate its final basis (LpOutcome.basis)
-gives is checked once, exactly, before it is stored.  An LP's optimal value
-is unique, so no value depends on what is stored or on the order of calls.
-The program and its certificates are built once per rule object and freed
-with it.
+The certificates, the search, the plan check and the witness read the
+scores as the instance's Scoreboard.ints, in its order, both computed once
+per board; the instances of one mcs_outcome call share one board.
+
+A rational rule answers q3 and q_program2 from certificates where it can.
+With the winner a relabelled 0, the target beta 1 and the others 2.. by
+descending score, every (a, beta) is one program per rule (_canonical_lp)
+and only its right-hand side D, the leads over beta, moves.  An optimal
+basis B stays optimal wherever B^-1 D >= 0, since a change of right-hand
+side keeps it dual feasible (Bertsimas & Tsitsiklis, Introduction to Linear
+Optimization, 1997, section 5.1), and a Farkas ray y proves every D with
+y . D > 0 unreachable.  A right-hand side that none of the rule's stored
+certificates (at most MAX_CERTIFICATES) answers is solved, and the
+certificate its final basis (LpOutcome.basis) gives is checked once,
+exactly, before it is stored.  An LP's optimal value is unique, so no value
+depends on what is stored or on the order of calls.  The program and its
+certificates are built once per rule object and freed with it.
 
 The search tries coalition sizes k upward from ceil(q3).  It reads a type
 only through its score row, so types with equal rows are interchangeable
@@ -68,7 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 from time import perf_counter
@@ -170,14 +173,18 @@ class ManipulationInstance:
 
     @classmethod
     def _build(cls, rule, scores, a, b, beta, profile):
+        """scores: a Scoreboard, whose ints and order the instance shares, or bare scores."""
         if beta == a:
             raise InvalidInput("the manipulation target must differ from the winner")
-        return cls(rule, tuple(scores), a, b, beta, profile, *_type_sets(rule.m, a, b, beta))
+        board = scores if isinstance(scores, Scoreboard) else Scoreboard(tuple(scores), 0)
+        inst = cls(rule, board.scores, a, b, beta, profile, *_type_sets(rule.m, a, b, beta))
+        inst.__dict__["board"] = board  # the cached_property's slot, seeded
+        return inst
 
     @classmethod
     def _from_board(cls, rule, board, beta, profile, what):
         a, b = _strict_top_two(board, what)
-        return cls._build(rule, board.scores, a, b, b if beta is None else beta, profile)
+        return cls._build(rule, board, a, b, b if beta is None else beta, profile)
 
     @classmethod
     def from_profile(cls, profile: Profile, rule: ScoreVector, beta: int | None = None):
@@ -194,9 +201,14 @@ class ManipulationInstance:
     def m(self) -> int:
         return self.rule.m
 
+    @cached_property  # kept in the instance's __dict__, which eq, hash and replace() skip
+    def board(self) -> Scoreboard:
+        """The scores' Scoreboard, read by every exact route through its ints and order."""
+        return Scoreboard(self.scores, 0)
+
     @property
     def mean_score(self):
-        return Scoreboard(self.scores, 0).mean
+        return self.board.mean
 
     def count_of(self, ranking) -> int:
         if self.profile is None:
@@ -264,7 +276,7 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
     unit = scale * den
     got_x, got_y = _candidate_totals(x, ints, inst.m), _candidate_totals(y, ints, inst.m)
     base = scale * ys - got_x[target]
-    lead, sden = lp.lcd_ints(inst.scores)
+    lead, sden = inst.board.ints
     for alpha in range(inst.m):
         if alpha != target:
             lhs, rhs = base - got_y[alpha] + got_x[alpha], lead[alpha] - lead[target]
@@ -417,14 +429,15 @@ def _canonical_lp(rule):
 def _certified_value(inst):
     """The unbounded LP value of an exact instance, from a certificate or by a solve that adds one.
 
-    The others are relabelled 2.. by descending score, ties by label, so that
-    like scoreboards give like right-hand sides.  D is kept as ints d over
-    the scores' common denominator; a float score is read exactly.
+    The others are relabelled 2.. in the board's order (descending score, ties
+    by label), so that like scoreboards give like right-hand sides.  D is kept
+    as ints d over the board's common denominator; a float score is read
+    exactly.
     """
     a, beta = inst.a, inst.beta
-    lead, den = lp.lcd_ints(inst.scores)
-    order = sorted(range(inst.m), key=lambda c: (-lead[c], c))
-    d = [lead[c] - lead[beta] for c in (a, *(c for c in order if c != a and c != beta))]
+    lead, den = inst.board.ints
+    others = (c for c in inst.board.order if c != a and c != beta)
+    d = [lead[c] - lead[beta] for c in (a, *others)]
     cost, rows, certificates = _canonical_lp(inst.rule)
     for certificate in certificates:
         value = _answer(certificate, d, den)
@@ -554,12 +567,14 @@ def _integer_tables(inst):
     """(scale, leads) of the pure-int search.
 
     scale is the lcm of the weights' denominators, and leads holds each other
-    candidate's lead over the target times scale, in label order.
+    candidate's lead over the target times scale, in label order: the floors
+    of the board's scores times scale.
     """
     if not inst.rule.is_rational:
         raise InvalidInput("the exact search needs a rational rule")
     scale = integer_weights(inst.rule)[0]
-    base = [s.numerator * scale // s.denominator for s in inst.scores]
+    nums, den = inst.board.ints
+    base = [num * scale // den for num in nums]
     return scale, [d - base[inst.beta] for c, d in enumerate(base) if c != inst.beta]
 
 
@@ -729,7 +744,7 @@ def mcs_outcome(profile: Profile, rule: ScoreVector, *, strict_win=False) -> Mcs
     for beta in range(profile.m):
         if beta == a:
             continue
-        inst = ManipulationInstance._build(rule, board.scores, a, b, beta, profile)
+        inst = ManipulationInstance._build(rule, board, a, b, beta, profile)
         bound = q3(inst)
         if bound is not math.inf:
             candidates.append((bound, beta, inst))

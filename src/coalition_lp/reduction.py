@@ -19,7 +19,8 @@ plan for the stratified program.
 The geometry and the witness are computed on Python ints for every rule,
 floats read exactly (lp.lcd_ints): M_w's rows scaled by the weights' common
 denominator, and every scalar of the witness (z, the scores, A, B, r, u, v
-and the per-type amounts) as a numerator over a known denominator.
+and the per-type amounts) as a numerator over a known denominator; the
+scores are the instance's board's ints (Scoreboard.ints).
 Fractions are built only for the vertices and plan entries returned; a
 witness with a float input rounds each amount once, to a float.  M_w and
 its cone-optimal vertices depend on the rule alone: they are built once per
@@ -252,14 +253,19 @@ def _cone_optimal_vertices(poly):
 # The stratified primal and the named closed forms
 # --------------------------------------------------------------------- #
 
+@per_rule
+def _stratified_rows(rule: ScoreVector) -> tuple:
+    """q_stratified's rows: catch-up 1 - w[i] + w[i+1] and lift 1 - w[i], for i < m - 1."""
+    w = rule.weights
+    return (tuple(1 - w[i] + w[i + 1] for i in range(rule.m - 1)),
+            tuple(1 - w[i] for i in range(rule.m - 1)))
+
+
 def q_stratified(margins: MarginPair, rule: ScoreVector):
     """Solve the per-stratum recruitment program; returns (value, z) or (inf, None)."""
-    w = rule.weights
-    m = rule.m
-    catch_up = tuple(1 - w[i] + w[i + 1] for i in range(m - 1))
-    lift = tuple(1 - w[i] for i in range(m - 1))
+    catch_up, lift = _stratified_rows(rule)
     program = lp.LinearProgram(
-        tuple([1] * (m - 1)),
+        (1,) * (rule.m - 1),
         "min",
         (
             (catch_up, ">=", margins.gap),
@@ -411,7 +417,7 @@ def _exact_shares(inst, z, others, exact):
         raise ZInfeasible("negative recruitment total")
     zs = [max(zi, 0) for zi in zs]
     scale, ints = integer_weights(inst.rule)
-    lead, sden = lp.lcd_ints(inst.scores)
+    lead, sden = inst.board.ints
     unit = m * dz * scale  # a numerator over sden, times unit, is over G
     a_s, b_s = lead[inst.a] * unit, lead[inst.b] * unit
     mean = sum(lead) * dz * scale

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +131,19 @@ def test_profile_json_round_trip():
     assert dict(dup.items()) == {(0, 1, 2): 5}
     with pytest.raises(ValueError):
         Profile.from_json('{"votes": []}')
+
+
+def test_profile_json_refuses_each_negative_vote():
+    """A count of -1 is refused even where another vote for the same ranking lifts the sum to >= 0.
+
+    from_json checks every vote as it reads it: a check of the summed counts
+    alone (in from_counts or __post_init__) would take these votes as one voter.
+    """
+    for counts in ((-1, 2), (2, -1), (-1, 1)):
+        votes = ", ".join(f'{{"ranking": [0, 1, 2], "count": {c}}}' for c in counts)
+        with pytest.raises(InvalidInput,
+                           match=r"^'count' must be a non-negative integer, got -1$"):
+            Profile.from_json(f'{{"m": 3, "votes": [{votes}]}}')
 
 
 @st.composite
@@ -380,6 +394,22 @@ def test_only_lp_raises_a_bare_value_error():
                 if getattr(exc, "id", None) == "ValueError":
                     raisers.add(path.stem)
     assert raisers == {"lp"}
+
+
+def test_modules_parse_at_the_oldest_supported_python():
+    """Every module parses under the grammar of the requires-python floor in pyproject.toml.
+
+    This catches syntax newer than the floor, such as except* (3.11).  It
+    checks syntax alone: a library API the floor lacks, such as
+    operator.call (3.11), parses like any other name and is beyond it.
+    """
+    root = Path(election.__file__).parent
+    pyproject = (root.parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', pyproject)
+    paths = sorted(root.glob("*.py"))
+    assert floor and paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor[1])))
 
 
 # The functions that read is_rational, _is_exact, _close or TIE_TOL: every route a float rule,

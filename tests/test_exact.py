@@ -23,7 +23,8 @@ from coalition_lp.exact import (
     verify_integral_plan, verify_plan,
 )
 from coalition_lp.reduction import (
-    MarginPair, cone_optimal_vertices, k_constant, mw_polytope, q_dual,
+    MarginPair, cone_optimal_vertices, k_constant, mw_polytope, q_dual, q_stratified,
+    witness_from_z,
 )
 from oracles import brute_mcs, milp_mcs, type_rows
 
@@ -371,6 +372,78 @@ def test_float_scores_are_read_exactly():
         assert got == values(parse_rule(text, len(scores)), [*map(Fraction, scores)])
         assert all(type(v) is Fraction or v == math.inf for v in got)
         assert tuple(map(str, got)) == want, (text, scores)
+
+
+def _unseeded(board):
+    """The same board built by hand: its ints come from its scores, not from scoreboard()'s sums."""
+    return election.Scoreboard(board.scores, board.n)
+
+
+def test_one_exact_form_per_board(monkeypatch):
+    """A board's ints are its scores exactly and its order theirs, and every exact route gives the
+    same results whether scoreboard() seeded the ints or the board read them from its scores.
+
+    A rational rule's seeded ints are over integer_weights' scale, which need
+    not be the scores' lowest common denominator.  An instance shares the
+    board it was built from; one built from bare scores builds its own.  Each
+    form runs on its own copy of the rule, so each solves its own q3s and
+    stores its own certificates.
+    """
+    for m in range(3, 7):
+        for rule in _bound_rules(m):
+            for i in range(3):
+                profile = sample_ic(60, m, (9, m, i))
+                board = scoreboard(profile, rule)
+                plain = _unseeded(board)
+                for each in (board, plain):
+                    nums, den = each.ints
+                    assert all(Fraction(num, den) == s for num, s in zip(nums, each.scores))
+                    want = sorted(range(m), key=lambda c: (-Fraction(each.scores[c]), c))
+                    assert each.order == tuple(want) and top_two(each)[:2] == tuple(want[:2])
+                assert top_two(board) == top_two(plain)
+                assert MarginPair.from_scoreboard(board) == MarginPair.from_scoreboard(plain)
+                assert (plain, repr(plain), hash(plain)) == (board, repr(board), hash(board))
+                assert "ints" in vars(board) and "ints" not in vars(dataclasses.replace(board))
+                if rule.is_rational:
+                    assert board.ints[1] == integer_weights(rule)[0]
+                a, b, strict = top_two(board)
+                if not strict:
+                    continue
+                sources = (board, plain, board.scores)
+                copies = [dataclasses.replace(rule) for _ in sources]
+                margins = MarginPair.from_scoreboard(board)
+                z = q_stratified(margins, rule)[1]
+                for beta in range(m):
+                    if beta == a:
+                        continue
+                    insts = [ManipulationInstance._build(copy, source, a, b, beta, profile)
+                             for copy, source in zip(copies, sources)]
+                    assert insts[0].board is board and insts[1].board is plain
+                    assert insts[2].board.scores == board.scores
+                    assert "ints" not in vars(insts[2].board)
+                    recruit = next(t for t in insts[0].pref_types if insts[0].count_of(t))
+                    plan = CoalitionPlan({recruit: 1}, {insts[0].first_types[0]: 1})
+                    results = []
+                    for inst in insts:
+                        got = [q3(inst), verify_integral_plan(inst, plan)]
+                        if beta == b:
+                            got.append(q_program2_from_instance(inst))
+                            if z is not None:
+                                witness = witness_from_z(inst, z)
+                                got += [witness.x, witness.y]
+                        results.append([*map(repr, got)])  # values, types and entry order
+                    assert results[0] == results[1] == results[2], (rule, i, beta)
+                if m <= exact.MAX_EXACT_M and rule.is_rational:
+                    want = mcs_outcome(profile, copies[0])
+                    with monkeypatch.context() as patch:
+                        patch.setattr(exact, "scoreboard", lambda p, r: _unseeded(scoreboard(p, r)))
+                        got = mcs_outcome(profile, copies[1])
+                    assert (got.value, got.target, got.plan) == (want.value, want.target, want.plan)
+                    if want.plan is not None:
+                        for source in (board, plain):
+                            inst = ManipulationInstance._build(rule, source, a, b, want.target,
+                                                               profile)
+                            assert verify_integral_plan(inst, want.plan) == []
 
 
 LP_COLUMN_COUNTS = {  # (recruits, ballots) of _canonical_lp; the full pools hold m!/2 and (m-1)!
