@@ -47,18 +47,21 @@ The search tries coalition sizes k upward from ceil(q3).  It reads a type
 only through its score row, so types with equal rows are interchangeable
 (Margot, "Symmetry in integer linear programming", 2010): it recruits from
 score classes, one per distinct row with the members' counts summed, and
-casts one ballot per distinct row (_score_classes, built once per rule for
-each (a, beta) and ballot set).  A class carries its gains, how far one
+casts one ballot per distinct row.  A class carries its gains, how far one
 recruit narrows each other candidate's lead over beta, and a ballot its
 loads, the score it gives each other candidate.  At each k the search walks
-class multisets depth first on the m - 1 leads over beta, a take lowering
-them by the take times the class's gains, and at each leaf looks for k
-target-first ballots whose loads fit every candidate's cap, the room its
-lead leaves.  Every node checks a score bound first: if even the most
-helpful recruits still to come, followed by the least loading ballots,
-leave some candidate (or all of them together) over their cap, the subtree
-is cut.  Only subtrees without a working leaf are cut, so the plan found is
-the one the uncut search finds, in far fewer nodes.  The plan is spread back
+class multisets depth first on the m - 1 leads over beta, each take
+lowering them by one more copy of the class's gains, and at each leaf looks
+for k target-first ballots whose loads fit every candidate's cap, the room
+its lead leaves; each take of a ballot row adds one more copy of its loads.
+Every node checks a score bound first: if even the most helpful recruits
+still to come, followed by the least loading ballots, leave some candidate
+(or all of them together) over their cap, the subtree is cut.  Only
+subtrees without a working leaf are cut, so the plan found is the one the
+uncut search finds, in far fewer nodes.  The classes, the ballots and the
+ballot side of that bound (_score_classes) are built once per rule for each
+(a, beta) and ballot set; only the recruit side, which depends on the
+classes the profile fills, is built per search.  The plan is spread back
 over types the way a walk type by type, smaller takes first, loads equal
 rows: a class's take goes to its members from the last one back, each up to
 its count, and a ballot row is cast as the last allowed type holding it.  A
@@ -148,6 +151,14 @@ def _type_sets(m, a, b, beta):
     return tuple(pref), tuple(first), strata, sum(strata, ()), stratum_of
 
 
+def _bare_board(scores):
+    """The Scoreboard of bare scores; InvalidInput for a non-finite one."""
+    scores = tuple(scores)
+    if odd := [s for s in scores if isinstance(s, float) and not math.isfinite(s)]:
+        raise InvalidInput(f"scores must be finite numbers, got {odd[0]}")
+    return Scoreboard(scores, 0)
+
+
 @dataclass(frozen=True)
 class ManipulationInstance:
     """A profile/scoreboard with designated winner a, runner-up b, target beta.
@@ -176,7 +187,7 @@ class ManipulationInstance:
         """scores: a Scoreboard, whose ints and order the instance shares, or bare scores."""
         if beta == a:
             raise InvalidInput("the manipulation target must differ from the winner")
-        board = scores if isinstance(scores, Scoreboard) else Scoreboard(tuple(scores), 0)
+        board = scores if isinstance(scores, Scoreboard) else _bare_board(scores)
         inst = cls(rule, board.scores, a, b, beta, profile, *_type_sets(rule.m, a, b, beta))
         inst.__dict__["board"] = board  # the cached_property's slot, seeded
         return inst
@@ -195,7 +206,7 @@ class ManipulationInstance:
         """Build from a bare scoreboard; q1/q2 are unavailable without a profile."""
         if len(scores) != rule.m:
             raise InvalidInput("scores and rule must share m")
-        return cls._from_board(rule, Scoreboard(tuple(scores), 0), beta, None, "scoreboard")
+        return cls._from_board(rule, _bare_board(scores), beta, None, "scoreboard")
 
     @property
     def m(self) -> int:
@@ -344,7 +355,7 @@ def _coalition_lp(inst, xs, upper_slack=None) -> lp.LinearProgram:
 
 @per_rule
 def _score_classes(rule, a, beta, unrestricted):
-    """(classes, ballots): the exact search's recruits and ballots for (a, beta), one per score row.
+    """(classes, ballots, bounds): the search's recruits, ballots and ballot bounds for (a, beta).
 
     The search reads a type only through its score row, so types with equal
     rows are interchangeable.  classes maps the first type of each distinct
@@ -354,7 +365,10 @@ def _score_classes(rule, a, beta, unrestricted):
     classes go in the order of their first types.  ballots holds, of each
     distinct row among the types ranking beta first (all in pref; every
     type when unrestricted), (the last type holding it, its loads row[c]),
-    in that order.  gains and loads run over c != beta in label order.
+    in that order.  gains and loads run over c != beta in label order.  The
+    ballot bounds of the search's score bound come with them, built once per
+    rule and target: (minload, minagg), the least load any ballot gives each
+    other candidate and the least sum of a ballot's loads.
     """
     ranks, places = _type_maps(rule.m)
     ints = integer_weights(rule)[1]
@@ -368,8 +382,10 @@ def _score_classes(rule, a, beta, unrestricted):
                           tuple(row[c] - row[beta] for c in others))
                for row, types in members.items()}
     last = {rows[t]: t for t in (ranks if unrestricted else first)}
-    return classes, tuple((t, tuple(rows[t][c] for c in others))
-                          for t in sorted(last.values(), key=ranks.get))
+    ballots = tuple((t, tuple(rows[t][c] for c in others))
+                    for t in sorted(last.values(), key=ranks.get))
+    loads = [load for _, load in ballots]
+    return classes, ballots, ([*map(min, zip(*loads))], min(map(sum, loads)))
 
 
 def _lp_value(program: lp.LinearProgram):
@@ -592,22 +608,36 @@ class _Budget:
 
 
 def _ballot_search(k, ballots, caps, budget):
-    """[(type, count > 0), ...] for k ballots whose loads stay within caps, or None."""
+    """[(type, count > 0), ...] for k ballots whose loads stay within caps, or None.
+
+    Each take of a row adds one row of loads to the totals, and the first
+    take that passes a cap ends the row: larger takes only add more score.
+    Take 0 needs no test.  At the first row every cap is >= 0: the recruit
+    search calls this only at a leaf whose leads D_c are each at most their
+    limit room - k*minload[c], and no load is negative.  A deeper row starts
+    from totals that were tested on the way down.
+    """
+    spend, last = budget.spend, len(ballots) - 1
 
     def rec(idx, remaining, totals):
-        budget.spend()
+        spend()
         t, loads = ballots[idx]
-        if idx == len(ballots) - 1:
-            if any(x + remaining * load > cap for x, load, cap in zip(totals, loads, caps)):
-                return None
+        if idx == last:
+            for x, load, cap in zip(totals, loads, caps):
+                if x + remaining * load > cap:
+                    return None
             return [(t, remaining)] if remaining else []
-        for take in range(remaining + 1):
-            new = [x + take * load for x, load in zip(totals, loads)]
-            if any(x > cap for x, cap in zip(new, caps)):
-                break  # larger takes only add more score
-            rest = rec(idx + 1, remaining - take, new)
+        rest = rec(idx + 1, remaining, totals)
+        if rest is not None:
+            return rest
+        for take in range(1, remaining + 1):
+            totals = [x + load for x, load in zip(totals, loads)]
+            for x, cap in zip(totals, caps):
+                if x > cap:
+                    return None
+            rest = rec(idx + 1, remaining - take, totals)
             if rest is not None:
-                return ([(t, take)] + rest) if take else rest
+                return [(t, take), *rest]
         return None
 
     return rec(0, k, [0] * len(caps))
@@ -618,20 +648,16 @@ def _suffix_max(values):
     return [*accumulate(reversed(values), max)][::-1]
 
 
-def _bound_tables(pool, ballots):
-    """Per-node bound tables of the recruit search; they depend on the target, not on k.
+def _bound_tables(pool):
+    """Per-node bound tables of the recruit search; they depend on the pool, not on k.
 
     maxg[idx] holds the largest gain over pool[idx:] for each other candidate,
     maxagg[idx] the largest sum of an entry's gains; the entry past the end is
-    0 (no recruits left).  From the ballots: minload, the least load any
-    ballot gives each other candidate, and minagg, the least sum of a
-    ballot's loads.
+    0 (no recruits left).
     """
     gains = [g for _, _, g in pool]
     maxg = [*zip(*map(_suffix_max, zip(*gains))), (0,) * len(gains[0])]
-    maxagg = _suffix_max([*map(sum, gains)]) + [0]
-    loads = [load for _, load in ballots]
-    return maxg, maxagg, [*map(min, zip(*loads))], min(map(sum, loads))
+    return maxg, _suffix_max([*map(sum, gains)]) + [0]
 
 
 def _search_at_size(k, pool, ballots, leads, scale, budget, strict_win, tables):
@@ -649,9 +675,10 @@ def _search_at_size(k, pool, ballots, leads, scale, budget, strict_win, tables):
     limits = [room - k * load for load in minload]
     agg_limit = len(leads) * room - k * minagg
     last = len(pool) - 1
+    spend = budget.spend
 
     def rec(idx, remaining, leads):
-        budget.spend()
+        spend()
         for d, g, limit in zip(leads, maxg[idx], limits):
             if d - remaining * g > limit:
                 return None
@@ -661,12 +688,21 @@ def _search_at_size(k, pool, ballots, leads, scale, budget, strict_win, tables):
             cast = _ballot_search(k, ballots, [room - d for d in leads], budget)
             return None if cast is None else CoalitionPlan(x={}, y=dict(cast))
         t, avail, gains = pool[idx]
-        top = min(avail, remaining)  # the last entry takes all that remains, if it holds that many
-        for take in range(top + 1) if idx < last else [remaining] * (top == remaining):
-            plan = rec(idx + 1, remaining - take, [d - take * g for d, g in zip(leads, gains)])
-            if plan is not None:
-                return CoalitionPlan(x={t: take, **plan.x}, y=plan.y) if take else plan
-        return None
+        if idx == last:  # the last entry takes all that remains, if it holds that many
+            if avail < remaining:
+                return None
+            take = remaining
+            plan = rec(idx + 1, 0, [d - take * g for d, g in zip(leads, gains)])
+        else:  # smaller takes first, the leads lowered by one recruit per take
+            take, top = 0, min(avail, remaining)
+            plan = rec(idx + 1, remaining, leads)
+            while plan is None and take < top:
+                take += 1
+                leads = [d - g for d, g in zip(leads, gains)]
+                plan = rec(idx + 1, remaining - take, leads)
+        if plan is None or not take:
+            return plan
+        return CoalitionPlan(x={t: take, **plan.x}, y=plan.y)
 
     return rec(0, k, leads)
 
@@ -679,14 +715,14 @@ def _search(inst, lower, kmax, budget, strict_win, unrestricted):
     if lower is math.inf:
         return None
     scale, leads = _integer_tables(inst)
-    classes, ballots = _score_classes(inst.rule, inst.a, inst.beta, unrestricted)
+    classes, ballots, least = _score_classes(inst.rule, inst.a, inst.beta, unrestricted)
     counts = inst.profile.counts
     pool = [(rep, avail, gains) for rep, (_, indices, gains) in classes.items()
             if (avail := sum(map(counts.__getitem__, indices)))]
     if not pool:
         return None
     kmax = min(kmax, sum(avail for _, avail, _ in pool))
-    tables = _bound_tables(pool, ballots)
+    tables = (*_bound_tables(pool), *least)
     start = max(1, math.ceil(lower))
     left = budget.left
     for k in range(start, kmax + 1):

@@ -6,7 +6,9 @@ recruit/ballot multiset; both are exponential and only meant for tiny
 inputs.  The polytope oracle intersects the dual's half-planes pairwise in
 Fractions, and the score-row oracle reads every type's scores from sigma.
 The milp coalition oracle hands program (1) to scipy's HiGHS branch and
-bound, for profiles too big to brute-force.
+bound, for profiles too big to brute-force.  The first-plan oracle walks
+score classes in the exact search's order with no bounds, for the plan the
+search must return.
 """
 
 import functools
@@ -228,3 +230,70 @@ def type_rows(rule):
     as_int = {w: int(Fraction(w) * scale) for w in rule.weights}
     return scale, {t: tuple(as_int[sigma(t, c, rule)] for c in range(rule.m))
                    for t in all_rankings(rule.m)}
+
+
+def _compositions(k, caps):
+    """Every tuple of len(caps) non-negative ints summing to k, each within its cap, ascending."""
+    if len(caps) == 1:
+        if k <= caps[0]:
+            yield (k,)
+        return
+    for first in range(min(k, caps[0]) + 1):
+        for rest in _compositions(k - first, caps[1:]):
+            yield (first, *rest)
+
+
+def first_plan(profile, rule, beta, *, strict_win=False):
+    """The first working plan of a class walk for `beta`: (size, recruits, ballots), or None.
+
+    Types with equal score rows form a class; the recruit classes are those
+    of the types ranking beta above the winner, in the order of their first
+    types, and only classes with voters are walked.  The ballot rows are the
+    distinct rows of the types ranking beta first, each cast as the last type
+    holding it, in ranking order.  Sizes go up from 1.  At each size the walk
+    has no bounds: it tries the recruit takes in lexicographic order,
+    smallest first, and for each the ballot counts in the same order, and
+    returns the first pair under which beta's final score beats (weakly, or
+    strictly with `strict_win`) every other candidate's.  A class's take goes
+    to its members from the last one back, each up to its count.
+    """
+    a = top_two(scoreboard(profile, rule))[0]
+    scale, rows = type_rows(rule)
+    scores = [Fraction(s) * scale for s in scoreboard(profile, rule).scores]
+    counts = dict(profile.items())
+    rankings = all_rankings(profile.m)
+    members = {}
+    for t in rankings:
+        if t.index(beta) < t.index(a):
+            members.setdefault(rows[t], []).append(t)
+    pool = [types for types in members.values() if sum(counts.get(t, 0) for t in types)]
+    avail = [sum(counts.get(t, 0) for t in types) for types in pool]
+    last = {rows[t]: t for t in rankings if t[0] == beta}
+    ballots = sorted(last.values(), key=rankings.index)
+
+    def wins(takes, cast):
+        final = list(scores)
+        for types, take in zip(pool, takes):
+            for c in range(profile.m):
+                final[c] -= take * rows[types[0]][c]
+        for t, count in zip(ballots, cast):
+            for c in range(profile.m):
+                final[c] += count * rows[t][c]
+        return all(final[beta] > final[c] if strict_win else final[beta] >= final[c]
+                   for c in range(profile.m) if c != beta)
+
+    for k in range(1, sum(avail) + 1):
+        for takes in _compositions(k, avail):
+            cast = next((cast for cast in _compositions(k, [k] * len(ballots))
+                         if wins(takes, cast)), None)
+            if cast is None:
+                continue
+            recruits = {}
+            for types, take in zip(pool, takes):
+                for t in reversed(types):
+                    part = min(take, counts.get(t, 0))
+                    if part:
+                        recruits[t] = part
+                        take -= part
+            return k, recruits, {t: count for t, count in zip(ballots, cast) if count}
+    return None

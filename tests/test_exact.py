@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from coalition_lp import election, exact, lp
 from coalition_lp.election import (
-    Profile, all_rankings, antiplurality, borda, integer_weights, normalize, parse_rule,
-    plurality, sample_ic, scoreboard, sigma, top_two,
+    InvalidInput, Profile, all_rankings, antiplurality, borda, integer_weights, normalize,
+    parse_rule, plurality, sample_ic, scoreboard, sigma, top_two,
 )
 from coalition_lp.exact import (
     CoalitionPlan, InstanceTooLarge, ManipulationInstance, NotStrictWinner, mcs_exact,
@@ -26,7 +27,7 @@ from coalition_lp.reduction import (
     MarginPair, cone_optimal_vertices, k_constant, mw_polytope, q_dual, q_stratified,
     witness_from_z,
 )
-from oracles import brute_mcs, milp_mcs, type_rows
+from oracles import brute_mcs, first_plan, milp_mcs, type_rows
 
 PLURALITY_TINY = Profile.from_counts(3, {(0, 1, 2): 4, (1, 0, 2): 3, (2, 1, 0): 1})
 BORDA_TINY = Profile.from_counts(3, {(0, 1, 2): 4, (1, 0, 2): 2, (2, 1, 0): 1})
@@ -372,6 +373,16 @@ def test_float_scores_are_read_exactly():
         assert got == values(parse_rule(text, len(scores)), [*map(Fraction, scores)])
         assert all(type(v) is Fraction or v == math.inf for v in got)
         assert tuple(map(str, got)) == want, (text, scores)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_scores_are_refused(bad):
+    """A non-finite bare score is InvalidInput, not an OverflowError or ValueError from lcd_ints."""
+    for scores in ((bad, 1.0, 0.0), (2.0, bad, 0.0)):
+        with pytest.raises(InvalidInput, match=r"^scores must be finite numbers, got -?(inf|nan)$"):
+            ManipulationInstance.from_scores(borda(3), scores)
+        with pytest.raises(InvalidInput, match="scores must be finite numbers"):
+            ManipulationInstance._build(borda(3), scores, 0, 2, 1, None)
 
 
 def _unseeded(board):
@@ -820,6 +831,57 @@ def test_search_nodes_are_pinned(monkeypatch):
                 jobs += 1
     assert totals == PINNED_NODE_TOTALS
     assert (jobs, digest.hexdigest()) == PINNED_NODE_JOBS
+
+
+def test_search_finds_the_uncut_walks_first_plan():
+    """_search returns the plan an uncut class walk finds first, or None when it finds none.
+
+    The bounds only cut subtrees without a working leaf, so the first plan
+    is that of a walk with no bounds.  Corpus: sample_ic(n, m, (29, n, i)) at
+    small n, where many score classes hold no voter, for every target, weak
+    and strict, from size 1 upward.
+    """
+    plans = 0
+    for m, sizes in ((3, (4, 9, 16)), (4, (5, 8, 11))):
+        for n, i, text in itertools.product(sizes, range(3), PINNED_RULES[m]):
+            profile, rule = sample_ic(n, m, (29, n, i)), parse_rule(text, m)
+            a, _, strict = top_two(scoreboard(profile, rule))
+            if not strict:
+                continue
+            for beta, strict_win in itertools.product(range(m), (False, True)):
+                if beta == a:
+                    continue
+                inst = ManipulationInstance.from_profile(profile, rule, beta)
+                got = exact._search(inst, 0, 10**9, exact._Budget(10**6), strict_win, False)
+                got = got and (got[0], got[1].x, got[1].y)
+                assert got == first_plan(profile, rule, beta, strict_win=strict_win), \
+                    (m, n, i, text, beta, strict_win)
+                plans += got is not None
+    assert plans == 97
+
+
+def test_search_depth_fits_the_recursion_limit():
+    """Every rule family's walk stays well inside Python's recursion limit up to MAX_EXACT_M.
+
+    The walk recurses once per pool entry, once more at the leaf and once
+    per ballot row.  Borda at m = 5 is the deepest: 60 recruit classes and 24
+    target-first ballot rows (120 unrestricted).  At m = 7 Borda has 2,520
+    classes, so the walk would not fit.
+    """
+    limit = sys.getrecursionlimit()
+    for m in range(3, exact.MAX_EXACT_M + 1):
+        texts = ["plurality", "borda", "antiplurality", f"weights:{'1,' * (m - 2)}1/2,0"]
+        texts += [f"approval:{k}" for k in range(2, m - 1)]
+        for text in texts:
+            rule = parse_rule(text, m)
+            for a, beta, unrestricted in itertools.product(range(m), range(m), (False, True)):
+                if a != beta:
+                    classes, ballots, _ = exact._score_classes(rule, a, beta, unrestricted)
+                    assert len(classes) + 1 + len(ballots) < limit // 4, (m, text, limit)
+    classes, ballots, _ = exact._score_classes(borda(5), 0, 1, False)
+    assert (len(classes), len(ballots)) == (60, 24)
+    assert len(exact._score_classes(borda(5), 0, 1, True)[1]) == 120
+    assert len(exact._score_classes(borda(7), 0, 1, False)[0]) == 2_520 > limit
 
 
 def _milp_cases():
