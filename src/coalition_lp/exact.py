@@ -2,9 +2,9 @@
 
 The core object is a manipulation instance: a profile (or bare scoreboard),
 a rule, the strict winner a, the runner-up b, and a manipulation target
-beta.  A coalition plan pairs recruited sincere types x with cast insincere
-ballots y; it succeeds when beta's final score weakly beats every other
-candidate's.
+beta.  A coalition plan pairs recruited sincere types x with the insincere
+ballots y they cast, each ranking beta first; it succeeds when beta's final
+score weakly beats every other candidate's.
 
 Three routes to a value live here:
 
@@ -60,13 +60,13 @@ still to come, followed by the least loading ballots, leave some candidate
 subtrees without a working leaf are cut, so the plan found is the one the
 uncut search finds, in far fewer nodes.  The classes, the ballots and the
 ballot side of that bound (_score_classes) are built once per rule for each
-(a, beta) and ballot set; only the recruit side, which depends on the
-classes the profile fills, is built per search.  The plan is spread back
-over types the way a walk type by type, smaller takes first, loads equal
-rows: a class's take goes to its members from the last one back, each up to
-its count, and a ballot row is cast as the last allowed type holding it.  A
-search that still exceeds NODE_BUDGET raises InstanceTooLarge naming the
-target, the size, and the nodes and seconds spent.
+(a, beta); only the recruit side, which depends on the classes the profile
+fills, is built per search.  The plan is spread back over types the way a
+walk type by type, smaller takes first, loads equal rows: a class's take
+goes to its members from the last one back, each up to its count, and a
+ballot row is cast as the last target-first type holding it.  A search
+that still exceeds NODE_BUDGET raises InstanceTooLarge naming the target,
+the size, and the nodes and seconds spent.
 """
 
 from __future__ import annotations
@@ -151,12 +151,12 @@ def _type_sets(m, a, b, beta):
     return tuple(pref), tuple(first), strata, sum(strata, ()), stratum_of
 
 
-def _bare_board(scores):
-    """The Scoreboard of bare scores; InvalidInput for a non-finite one."""
-    scores = tuple(scores)
-    if odd := [s for s in scores if isinstance(s, float) and not math.isfinite(s)]:
-        raise InvalidInput(f"scores must be finite numbers, got {odd[0]}")
-    return Scoreboard(scores, 0)
+def _finite(values, what):
+    """values as a tuple; InvalidInput, naming `what`, for a non-finite one."""
+    values = tuple(values)
+    if odd := [v for v in values if isinstance(v, float) and not math.isfinite(v)]:
+        raise InvalidInput(f"{what} must be finite numbers, got {odd[0]}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,8 @@ class ManipulationInstance:
         """scores: a Scoreboard, whose ints and order the instance shares, or bare scores."""
         if beta == a:
             raise InvalidInput("the manipulation target must differ from the winner")
-        board = scores if isinstance(scores, Scoreboard) else _bare_board(scores)
+        board = (scores if isinstance(scores, Scoreboard)
+                 else Scoreboard(_finite(scores, "scores"), 0))
         inst = cls(rule, board.scores, a, b, beta, profile, *_type_sets(rule.m, a, b, beta))
         inst.__dict__["board"] = board  # the cached_property's slot, seeded
         return inst
@@ -206,7 +207,8 @@ class ManipulationInstance:
         """Build from a bare scoreboard; q1/q2 are unavailable without a profile."""
         if len(scores) != rule.m:
             raise InvalidInput("scores and rule must share m")
-        return cls._from_board(rule, _bare_board(scores), beta, None, "scoreboard")
+        board = Scoreboard(_finite(scores, "scores"), 0)
+        return cls._from_board(rule, board, beta, None, "scoreboard")
 
     @property
     def m(self) -> int:
@@ -231,16 +233,17 @@ class ManipulationInstance:
 # Plan verification
 # --------------------------------------------------------------------- #
 
-def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0.0):
+def verify_plan(inst, plan, *, pool, bounds=False, strata_z=None, tol=0.0):
     """Return a list of constraint violations (empty when the plan is sound).
 
-    pool/ballots delimit the allowed supports of x and y.  With bounds=True
-    each x_t is checked against the profile count of t.  strata_z, when
-    given, pins the per-stratum sums of x to the target z vector.  Every
-    amount, score, z entry and tol is read exactly, floats too: the plan is
-    summed and scored in ints over common denominators, and a constraint is
-    violated when it is missed by more than tol.  A non-finite amount is a
-    violation, and nothing else is checked then.
+    pool delimits the allowed support of x, first_types (ranking the target
+    first) that of y, and each recruit and ballot is scored by its own
+    ranking.  With bounds=True each x_t is checked against the profile count
+    of t.  strata_z, when given, pins the per-stratum sums of x to the
+    target z vector.  Every amount, score, z entry and tol is read exactly,
+    floats too: the plan is summed and scored in ints over common
+    denominators, and a constraint is violated when it is missed by more
+    than tol.  A non-finite amount is a violation that ends the check.
     """
     if odd := [f"non-finite amount {amt} for {t}" for part in (plan.x, plan.y)
                for t, amt in part.items() if isinstance(amt, float) and not math.isfinite(amt)]:
@@ -253,7 +256,7 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
     issues = []
     nums, den = lp.lcd_ints((*plan.x.values(), *plan.y.values()))
     x, y = dict(zip(plan.x, nums)), dict(zip(plan.y, nums[len(plan.x):]))
-    pool, ballots = set(pool), set(ballots)
+    pool, target = set(pool), inst.beta
     for t, amt in x.items():
         if t not in pool:
             issues.append(f"recruit type {t} outside the allowed pool")
@@ -262,7 +265,7 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
         if bounds and missed(inst.count_of(t) * den - amt, den):
             issues.append(f"recruited {plan.x[t]} of type {t}, only {inst.count_of(t)} exist")
     for t, amt in y.items():
-        if t not in ballots:
+        if t[0] != target:
             issues.append(f"ballot type {t} outside the allowed set")
         if missed(amt, den):
             issues.append(f"negative ballot count {plan.y[t]} for {t}")
@@ -280,48 +283,45 @@ def verify_plan(inst, plan, *, pool, ballots, bounds=False, strata_z=None, tol=0
             if missed(-abs(got * zden - zs[i] * den), den * zden):
                 got = Fraction(got, den)
                 issues.append(f"stratum {i + 1} sums to {got}, expected {strata_z[i]}")
-    # lhs(alpha) = sum_y amt * (scale - row[alpha]) - sum_x amt * (row[target] - row[alpha]),
-    # over unit; the leads over the target are over sden
-    target = inst.beta
+    # net[c] = sum_y amt * ints[p_t(c)] - sum_x amt * ints[p_t(c)] over unit, p_t(c) being
+    # c's place in t; the leads over the target are over sden
     scale, ints = integer_weights(inst.rule)
     unit = scale * den
-    got_x, got_y = _candidate_totals(x, ints, inst.m), _candidate_totals(y, ints, inst.m)
-    base = scale * ys - got_x[target]
+    net, places = [0] * inst.m, _type_maps(inst.m)[1]
+    for t, amt in y.items():
+        for c, p in enumerate(places[t]):
+            net[c] += amt * ints[p]
+    for t, amt in x.items():
+        for c, p in enumerate(places[t]):
+            net[c] -= amt * ints[p]
     lead, sden = inst.board.ints
     for alpha in range(inst.m):
         if alpha != target:
-            lhs, rhs = base - got_y[alpha] + got_x[alpha], lead[alpha] - lead[target]
+            lhs, rhs = net[target] - net[alpha], lead[alpha] - lead[target]
             if missed(lhs * sden - rhs * unit, unit * sden):
                 issues.append(f"candidate {alpha} stays ahead: "
                               f"{Fraction(lhs, unit)} < {Fraction(rhs, sden)}")
     return issues
 
 
-def _candidate_totals(amounts, ints, m):
-    """sum_t amounts[t] * ints[p_t(c)] for every candidate c, p_t(c) being c's place in t."""
-    totals, places = [0] * m, _type_maps(m)[1]
-    for t, amt in amounts.items():
-        for c, p in enumerate(places[t]):
-            totals[c] += amt * ints[p]
-    return totals
-
-
 def verify_integral_plan(inst, plan, tol=0.0):
     """Soundness check for a program-(1)-style plan against the instance's profile."""
-    return verify_plan(
-        inst, plan, pool=inst.pref_types, ballots=inst.first_types, bounds=True, tol=tol
-    )
+    return verify_plan(inst, plan, pool=inst.pref_types, bounds=True, tol=tol)
 
 
 def verify_stratified_plan(inst, plan, z=None, tol=0.0):
     """Soundness check for a program-(2)-style plan (target must be the runner-up)."""
     if inst.beta != inst.b:
         raise InvalidInput("stratified plans target the runner-up")
-    if z is not None and len(z) != inst.m - 1:
+    z = None if z is None else _checked_z(inst, z)
+    return verify_plan(inst, plan, pool=inst.ba_types, strata_z=z, tol=tol)
+
+
+def _checked_z(inst, z):
+    """z as a tuple of m-1 finite numbers; InvalidInput otherwise."""
+    if len(z) != inst.m - 1:
         raise InvalidInput(f"z needs m-1 = {inst.m - 1} entries, got {len(z)}")
-    return verify_plan(
-        inst, plan, pool=inst.ba_types, ballots=inst.first_types, strata_z=z, tol=tol
-    )
+    return _finite(z, "z")
 
 
 # --------------------------------------------------------------------- #
@@ -354,7 +354,7 @@ def _coalition_lp(inst, xs, upper_slack=None) -> lp.LinearProgram:
 
 
 @per_rule
-def _score_classes(rule, a, beta, unrestricted):
+def _score_classes(rule, a, beta):
     """(classes, ballots, bounds): the search's recruits, ballots and ballot bounds for (a, beta).
 
     The search reads a type only through its score row, so types with equal
@@ -363,17 +363,18 @@ def _score_classes(rule, a, beta, unrestricted):
     type with that row and its index, in all_rankings order, and how far one
     recruit narrows each other candidate's lead over beta, row[c] - row[beta];
     classes go in the order of their first types.  ballots holds, of each
-    distinct row among the types ranking beta first (all in pref; every
-    type when unrestricted), (the last type holding it, its loads row[c]),
-    in that order.  gains and loads run over c != beta in label order.  The
-    ballot bounds of the search's score bound come with them, built once per
-    rule and target: (minload, minagg), the least load any ballot gives each
-    other candidate and the least sum of a ballot's loads.
+    distinct row among the types ranking beta first (all in pref), (the last
+    type holding it, its loads row[c]), in that order: no other ballot gives
+    a smaller coalition, since moving beta to the top raises no other score.
+    gains and loads run over c != beta in label order.  The ballot bounds of
+    the search's score bound come with them, built once per rule and target:
+    (minload, minagg), the least load any ballot gives each other candidate
+    and the least sum of a ballot's loads.
     """
     ranks, places = _type_maps(rule.m)
     ints = integer_weights(rule)[1]
     pref, first, *_ = _type_sets(rule.m, a, beta, beta)
-    rows = {t: tuple(ints[p] for p in places[t]) for t in (ranks if unrestricted else pref)}
+    rows = {t: tuple(ints[p] for p in places[t]) for t in pref}
     others = [c for c in range(rule.m) if c != beta]
     members = {}
     for t in pref:
@@ -381,7 +382,7 @@ def _score_classes(rule, a, beta, unrestricted):
     classes = {types[0]: (tuple(types), tuple(map(ranks.get, types)),
                           tuple(row[c] - row[beta] for c in others))
                for row, types in members.items()}
-    last = {rows[t]: t for t in (ranks if unrestricted else first)}
+    last = {rows[t]: t for t in first}
     ballots = tuple((t, tuple(rows[t][c] for c in others))
                     for t in sorted(last.values(), key=ranks.get))
     loads = [load for _, load in ballots]
@@ -707,7 +708,7 @@ def _search_at_size(k, pool, ballots, leads, scale, budget, strict_win, tables):
     return rec(0, k, leads)
 
 
-def _search(inst, lower, kmax, budget, strict_win, unrestricted):
+def _search(inst, lower, kmax, budget, strict_win):
     """Smallest feasible size from max(1, ceil(lower)) to kmax with its plan, else None.
 
     lower is the instance's q3; the caller checks the profile and MAX_EXACT_M.
@@ -715,7 +716,7 @@ def _search(inst, lower, kmax, budget, strict_win, unrestricted):
     if lower is math.inf:
         return None
     scale, leads = _integer_tables(inst)
-    classes, ballots, least = _score_classes(inst.rule, inst.a, inst.beta, unrestricted)
+    classes, ballots, least = _score_classes(inst.rule, inst.a, inst.beta)
     counts = inst.profile.counts
     pool = [(rep, avail, gains) for rep, (_, indices, gains) in classes.items()
             if (avail := sum(map(counts.__getitem__, indices)))]
@@ -751,14 +752,14 @@ def _spread(takes, classes, counts):
     return x
 
 
-def q1(inst: ManipulationInstance, *, strict_win=False, unrestricted=False):
-    """Exact minimum coalition size for the instance's target, by integer search."""
+def q1(inst: ManipulationInstance, *, strict_win=False):
+    """Exact minimum coalition size for the target, by integer search over target-first ballots."""
     if inst.profile is None:
         raise InvalidInput("the exact search needs profile counts")
     if inst.m > MAX_EXACT_M:
         raise InstanceTooLarge(f"exact search is limited to m <= {MAX_EXACT_M}")
     budget = _Budget(NODE_BUDGET)
-    found = _search(inst, q3(inst), 10**9, budget, strict_win, unrestricted)
+    found = _search(inst, q3(inst), 10**9, budget, strict_win)
     return found[0] if found else math.inf
 
 
@@ -790,7 +791,7 @@ def mcs_outcome(profile: Profile, rule: ScoreVector, *, strict_win=False) -> Mcs
         if best.value is not math.inf and math.ceil(bound) >= best.value:
             continue
         kmax = 10**9 if best.value is math.inf else best.value - 1
-        found = _search(inst, bound, kmax, budget, strict_win, False)
+        found = _search(inst, bound, kmax, budget, strict_win)
         if found is not None:
             best = McsOutcome(found[0], beta, found[1])
     return best

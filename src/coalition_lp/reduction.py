@@ -40,7 +40,7 @@ from . import lp
 from .election import (
     InvalidInput, ScoreVector, Scoreboard, _is_exact, integer_weights, per_rule, top_two,
 )
-from .exact import CoalitionPlan, ManipulationInstance, _solved, verify_stratified_plan
+from .exact import CoalitionPlan, ManipulationInstance, _checked_z, _solved, verify_stratified_plan
 
 
 class UnknownFamily(InvalidInput):
@@ -346,9 +346,7 @@ def witness_from_z(inst: ManipulationInstance, z) -> CoalitionPlan:
     """
     if inst.beta != inst.b:
         raise InvalidInput("the witness construction targets the runner-up")
-    m = inst.m
-    if len(z) != m - 1:
-        raise InvalidInput(f"z needs m-1 = {m - 1} entries, got {len(z)}")
+    m, z = inst.m, _checked_z(inst, z)
     exact = inst.rule.is_rational and all(map(_is_exact, inst.scores)) and all(map(_is_exact, z))
     others = [c for c in range(m) if c not in (inst.a, inst.b)]
     zs, sincere, ru, rv, v, den = _exact_shares(inst, z, others, exact)

@@ -470,6 +470,31 @@ def test_dominance_analytic_pairs():
         assert r.coefficient_a == r.coefficient_b
 
 
+# m: Borda's diag_coeff_sq and the largest of k-approval's for k in 1..m-2
+REVERSAL = {4: (Fraction(5, 12), Fraction(1, 3)), 5: (Fraction(5, 18), Fraction(3, 10)),
+            6: (Fraction(7, 32), Fraction(3, 10)), 7: (Fraction(14, 75), Fraction(2, 7)),
+            8: (Fraction(1, 6), Fraction(2, 7))}
+
+
+@pytest.mark.parametrize("m", sorted(REVERSAL))
+def test_borda_loses_to_some_approval_from_m_5(m):
+    """The paper's m >= 5 reversal, exactly: Borda dominates every k-approval at m = 4 only.
+
+    k runs over 1..m-2 (k = m-1 is anti-plurality, which has a ray).  Every
+    verdict is analytic, from the exact diagonal coefficients; nothing is
+    sampled.
+    """
+    borda_sq, best_sq = REVERSAL[m]
+    assert limit_model(borda(m)).diag_coeff_sq == borda_sq
+    squares = {k: limit_model(k_approval(m, k)).diag_coeff_sq for k in range(1, m - 1)}
+    assert max(squares.values()) == best_sq
+    for k, sq in squares.items():
+        report = dominates(borda(m), k_approval(m, k))
+        assert report.method == "analytic-coefficient"
+        assert report.verdict is (Verdict.DOMINATES if borda_sq > sq else Verdict.DOMINATED_BY)
+    assert (borda_sq > best_sq) == (m == 4)
+
+
 def test_dominance_with_unbounded_rule():
     assert dominates(plurality(4), antiplurality(4)).verdict is Verdict.DOMINATED_BY
     assert dominates(antiplurality(4), plurality(4)).verdict is Verdict.DOMINATES

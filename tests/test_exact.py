@@ -87,7 +87,7 @@ def test_target_first_ballots_lose_nothing():
 
 
 def test_outside_pool_recruits_lose_nothing():
-    # recruiting voters who prefer the winner to the target never helps
+    # the target-first search matches program (1) solved by milp over every ballot type
     rng = random.Random(6)
     checked = 0
     while checked < 6:
@@ -101,7 +101,7 @@ def test_outside_pool_recruits_lose_nothing():
             if beta == a:
                 continue
             inst = ManipulationInstance.from_profile(prof, rule, beta)
-            assert q1(inst) == q1(inst, unrestricted=True)
+            assert q1(inst) == milp_mcs(prof, rule, target=beta, unrestricted=True)
         checked += 1
 
 
@@ -655,14 +655,36 @@ def test_verify_plan_reports_non_finite_amounts():
         t = inst.first_types[0]
         for bad in (math.nan, math.inf, -math.inf):
             plan = CoalitionPlan({t: bad}, {t: bad})
-            issues = verify_plan(inst, plan, pool=inst.pref_types, ballots=inst.first_types)
+            issues = verify_plan(inst, plan, pool=inst.pref_types)
             assert issues == [f"non-finite amount {bad} for {t}"] * 2, (rule, bad)
         plan = CoalitionPlan({t: 1}, {t: math.nan})
         assert verify_integral_plan(inst, plan) == [f"non-finite amount nan for {t}"]
 
 
+def test_verify_plan_scores_each_ballot_by_its_ranking():
+    """A plan whose ballots do not rank the target first is refused, and scored as cast.
+
+    On sample_ic(8, 3, (29, 8, 0)) under Borda, target 0, a search that may
+    cast any ballot finds x = {(0, 1, 2): 2}, y = {(2, 0, 1): 2}: the final
+    scores are 7/2, 9/2 and 4, with the target last.  The target-first search
+    casts (0, 2, 1) instead, and that plan is sound.
+    """
+    inst = ManipulationInstance.from_profile(sample_ic(8, 3, (29, 8, 0)), borda(3), 0)
+    plan = CoalitionPlan({(0, 1, 2): 2}, {(2, 0, 1): 2})
+    issues = verify_plan(inst, plan, pool=inst.pref_types)
+    assert "ballot type (2, 0, 1) outside the allowed set" in issues
+    assert "candidate 1 stays ahead: 0 < 1" in issues
+    size, found = exact._search(inst, 0, 10**9, exact._Budget(10**6), False)
+    assert (size, found) == (2, CoalitionPlan({(0, 1, 2): 2}, {(0, 2, 1): 2}))
+    assert verify_plan(inst, found, pool=inst.pref_types) == []
+    assert verify_integral_plan(inst, found) == []
+
+
 def _candidate_rows_by_sigma(inst, plan, tol):
     """verify_plan's candidate rows written out with sigma() and the rule's own weights.
+
+    Every ballot and recruit is scored by its own ranking: a ballot adds
+    score(t, target) - score(t, alpha) to the target's margin over alpha.
 
     Amounts, weights, scores and tol are read with Fraction, so float inputs are exact.
     """
@@ -674,7 +696,9 @@ def _candidate_rows_by_sigma(inst, plan, tol):
     for alpha in range(inst.m):
         if alpha == target:
             continue
-        lhs = sum(Fraction(amt) * (1 - score(t, alpha)) for t, amt in plan.y.items())
+        lhs = sum(
+            Fraction(amt) * (score(t, target) - score(t, alpha)) for t, amt in plan.y.items()
+        )
         lhs -= sum(
             Fraction(amt) * (score(t, target) - score(t, alpha)) for t, amt in plan.x.items()
         )
@@ -711,7 +735,7 @@ def test_verify_plan_scores_as_sigma_does(data):
         data.draw(st.dictionaries(st.sampled_from(types), amount, max_size=6)),
     )
     tol = 1e-7 if floats else 0
-    issues = verify_plan(inst, plan, pool=inst.pref_types, ballots=types, tol=tol)
+    issues = verify_plan(inst, plan, pool=inst.pref_types, tol=tol)
     rows = [msg for msg in issues if msg.startswith("candidate")]
     assert rows == _candidate_rows_by_sigma(inst, plan, tol)
 
@@ -763,19 +787,21 @@ def _pinned_searches():
                         if beta == a:
                             continue
                         inst = ManipulationInstance._build(rule, board.scores, a, b, beta, profile)
-                        yield repr(q1(inst, unrestricted=True)), None
-                        yield repr(q1(inst, strict_win=True, unrestricted=True)), None
+                        yield repr(q1(inst)), None
+                        yield repr(q1(inst, strict_win=True)), None
 
 
 def test_search_results_are_pinned():
-    """Every mcs_outcome (value, target) and witness and unrestricted q1 of a corpus, hashed.
+    """Every mcs_outcome (value, target) and witness and per-target q1 of a corpus, hashed.
 
     Corpus: sample_ic(n, m, (31, n, i)) for m = 3, 4, n in {7, 20, 50, 200}
     and i < 4, five rules each; mcs_outcome weak and strict, and for n <= 20
-    q1(unrestricted=True) weak and strict per target.  The values and targets
-    were recorded while the search walked one type at a time, the SLOW_STRICT
-    inputs included, and hold unchanged over score classes.  The witnesses
-    are pinned apart: they are the first plan each size's search finds.
+    q1 weak and strict per target.  The values and targets were recorded
+    while the search walked one type at a time, the SLOW_STRICT inputs
+    included, and the q1 values while it could also cast ballots not ranking
+    the target first; they hold unchanged over score classes and target-first
+    ballots.  The witnesses are pinned apart: they are the first plan each
+    size's search finds.
     """
     values, witnesses = hashlib.sha256(), hashlib.sha256()
     counts = [0, 0]
@@ -852,7 +878,7 @@ def test_search_finds_the_uncut_walks_first_plan():
                 if beta == a:
                     continue
                 inst = ManipulationInstance.from_profile(profile, rule, beta)
-                got = exact._search(inst, 0, 10**9, exact._Budget(10**6), strict_win, False)
+                got = exact._search(inst, 0, 10**9, exact._Budget(10**6), strict_win)
                 got = got and (got[0], got[1].x, got[1].y)
                 assert got == first_plan(profile, rule, beta, strict_win=strict_win), \
                     (m, n, i, text, beta, strict_win)
@@ -865,8 +891,8 @@ def test_search_depth_fits_the_recursion_limit():
 
     The walk recurses once per pool entry, once more at the leaf and once
     per ballot row.  Borda at m = 5 is the deepest: 60 recruit classes and 24
-    target-first ballot rows (120 unrestricted).  At m = 7 Borda has 2,520
-    classes, so the walk would not fit.
+    target-first ballot rows.  At m = 7 Borda has 2,520 classes, so the walk
+    would not fit.
     """
     limit = sys.getrecursionlimit()
     for m in range(3, exact.MAX_EXACT_M + 1):
@@ -874,14 +900,13 @@ def test_search_depth_fits_the_recursion_limit():
         texts += [f"approval:{k}" for k in range(2, m - 1)]
         for text in texts:
             rule = parse_rule(text, m)
-            for a, beta, unrestricted in itertools.product(range(m), range(m), (False, True)):
+            for a, beta in itertools.product(range(m), range(m)):
                 if a != beta:
-                    classes, ballots, _ = exact._score_classes(rule, a, beta, unrestricted)
+                    classes, ballots, _ = exact._score_classes(rule, a, beta)
                     assert len(classes) + 1 + len(ballots) < limit // 4, (m, text, limit)
-    classes, ballots, _ = exact._score_classes(borda(5), 0, 1, False)
+    classes, ballots, _ = exact._score_classes(borda(5), 0, 1)
     assert (len(classes), len(ballots)) == (60, 24)
-    assert len(exact._score_classes(borda(5), 0, 1, True)[1]) == 120
-    assert len(exact._score_classes(borda(7), 0, 1, False)[0]) == 2_520 > limit
+    assert len(exact._score_classes(borda(7), 0, 1)[0]) == 2_520 > limit
 
 
 def _milp_cases():
@@ -902,7 +927,8 @@ def test_budget_limited_search_matches_milp(monkeypatch):
     """Within 1% of its node budget the search reaches program (1)'s milp optimum.
 
     The cases include every input on which the search without per-node
-    bounds spent all 10M nodes; targeted cases run the unrestricted q1.  The
+    bounds spent all 10M nodes; targeted cases run q1 against the milp over
+    every ballot type, so target-first ballots are shown to lose nothing.  The
     costliest, the strict antiplurality mcs of sample_ic(200, 4, (31, 200, 3)),
     takes about 89,000 nodes to rule out a coalition of 15.
     """
@@ -915,7 +941,7 @@ def test_budget_limited_search_matches_milp(monkeypatch):
         want = milp_mcs(profile, rule, strict, target=target, unrestricted=target is not None)
         if target is not None:
             inst = ManipulationInstance.from_profile(profile, rule, target)
-            got = q1(inst, strict_win=strict, unrestricted=True)
+            got = q1(inst, strict_win=strict)
         else:
             out = mcs_outcome(profile, rule, strict_win=strict)
             got = out.value

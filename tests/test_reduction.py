@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalition_lp.election import (
-    Profile, ScoreVector, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
+    InvalidInput, Profile, ScoreVector, antiplurality, borda, k_approval, normalize, parse_rule, plurality,
     sample_ic, scoreboard, three_candidate, top_two,
 )
 from coalition_lp.exact import (
@@ -558,6 +558,18 @@ def test_stratified_check_needs_m_minus_1_totals():
     plan = witness_from_z(inst, (4, 2))
     for z in ((1,), (4, 2, 0)):
         with pytest.raises(ValueError, match=r"m-1 = 2 entries"):
+            verify_stratified_plan(inst, plan, z=z)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_z_is_refused(bad):
+    """A non-finite z entry is InvalidInput, not an OverflowError or ValueError from lcd_ints."""
+    inst = ManipulationInstance.from_scores(borda(3), (10, 7, 6))
+    plan = witness_from_z(inst, (4, 2))
+    for z in ((bad, 0), (4, bad)):
+        with pytest.raises(InvalidInput, match=rf"^z must be finite numbers, got {bad}$"):
+            witness_from_z(inst, z)
+        with pytest.raises(InvalidInput, match=rf"^z must be finite numbers, got {bad}$"):
             verify_stratified_plan(inst, plan, z=z)
 
 
