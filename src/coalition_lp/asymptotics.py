@@ -67,7 +67,6 @@ class LimitModel:
     """Everything needed to sample the limiting coalition-size variable."""
 
     m: int
-    sigma: float
     polytope: Polytope2D
     scaled_vertices: np.ndarray  # (V, 2) float, already multiplied by scale
     has_ray: bool
@@ -91,7 +90,6 @@ def limit_model(rule: ScoreVector) -> LimitModel:
     verts = np.array([[float(x), float(y)] for x, y in poly.vertices]) * scale
     return LimitModel(
         m=m,
-        sigma=rule.sigma,
         polytope=poly,
         scaled_vertices=verts,
         has_ray=bool(poly.rays),
@@ -319,6 +317,8 @@ def _curve_tasks(model: LimitModel, grid, samples: int, seed):
     The grid and sample count are checked here, before any task runs.
     """
     grid = [float(v) for v in grid]
+    if not grid:
+        raise InvalidInput("grid needs at least one point")
     if bad := [v for v in grid if not math.isfinite(v)]:
         raise InvalidInput(f"grid points must be finite, got {bad[0]}")
     if any(b < a for a, b in zip(grid, grid[1:])):

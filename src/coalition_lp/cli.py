@@ -72,17 +72,21 @@ def cmd_polytope(args) -> int:
     poly = reduction.mw_polytope(rule)
     dots = reduction.cone_optimal_vertices(poly)
     sigma = rule.sigma
-    extra = {
+
+    def points(pairs):
+        return [[str(Fraction(c)) if args.exact else float(c) for c in pair] for pair in pairs]
+
+    payload = {
+        "rule": args.rule,
+        "m": poly.m,
+        "vertices": points(poly.vertices),
+        "rays": points(poly.rays),
         "sigma_w": sigma,
         "sigma_scaled_vertices": reduction.sigma_scaled(poly, rule),
-        "optimal_dots": [
-            [str(Fraction(x)) if args.exact else float(x),
-             str(Fraction(y)) if args.exact else float(y)]
-            for x, y in dots
-        ],
+        "optimal_dots": points(dots),
         "sigma_scaled_dots": [[float(x) * sigma, float(y) * sigma] for x, y in dots],
     }
-    _emit(poly.to_json(args.rule, exact=args.exact, extra=extra), args.out)
+    _emit(json.dumps(payload), args.out)
     return 0
 
 

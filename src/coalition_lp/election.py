@@ -106,9 +106,6 @@ class ScoreVector:
         scale, ints = integer_weights(self)
         return ints[-2] == scale
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(w) for w in self.weights) + ")"
-
 
 def normalize(raw) -> ScoreVector:
     """Map an arbitrary score vector to normalized form.
@@ -223,14 +220,10 @@ def all_rankings(m: int) -> tuple:
 def ranking_index(ranking, m: int) -> int:
     """Lexicographic rank of a permutation among all m! voter types."""
     ranking = tuple(ranking)
-    if sorted(ranking) != list(range(m)):
+    index = _type_maps(m)[0].get(ranking)
+    if index is None:
         raise InvalidInput(f"not a permutation of 0..{m - 1}: {ranking}")
-    remaining = list(range(m))
-    idx = 0
-    for pos, cand in enumerate(ranking):
-        idx += remaining.index(cand) * math.factorial(m - 1 - pos)
-        remaining.remove(cand)
-    return idx
+    return index
 
 
 @dataclass(frozen=True)

@@ -219,10 +219,6 @@ class ManipulationInstance:
         """The scores' Scoreboard, read by every exact route through its ints and order."""
         return Scoreboard(self.scores, 0)
 
-    @property
-    def mean_score(self):
-        return self.board.mean
-
     def count_of(self, ranking) -> int:
         if self.profile is None:
             raise InvalidInput("this instance has no profile")
@@ -389,10 +385,6 @@ def _score_classes(rule, a, beta):
     return classes, ballots, ([*map(min, zip(*loads))], min(map(sum, loads)))
 
 
-def _lp_value(program: lp.LinearProgram):
-    return _solved(program).value  # inf when infeasible
-
-
 def _solved(program: lp.LinearProgram) -> lp.LpOutcome:
     out = lp.solve(program)
     if out.status is lp.LpStatus.UNBOUNDED:
@@ -408,7 +400,7 @@ def _unbounded_lp_value(inst, pool):
     certificates or by an exact solve.
     """
     if not inst.rule.is_rational:
-        return _lp_value(_coalition_lp(inst, pool))
+        return _solved(_coalition_lp(inst, pool)).value  # inf when infeasible
     return _certified_value(inst)
 
 
@@ -562,7 +554,7 @@ def q2(inst: ManipulationInstance, slack):
     """LP with recruitment bounds shrunk by the rounding constant."""
     if inst.profile is None:
         raise InvalidInput("q2 needs profile counts")
-    return _lp_value(_coalition_lp(inst, inst.pref_types, upper_slack=slack))
+    return _solved(_coalition_lp(inst, inst.pref_types, upper_slack=slack)).value
 
 
 def q_program2_from_instance(inst: ManipulationInstance):

@@ -22,15 +22,14 @@ denominator, and every scalar of the witness (z, the scores, A, B, r, u, v
 and the per-type amounts) as a numerator over a known denominator; the
 scores are the instance's board's ints (Scoreboard.ints).
 Fractions are built only for the vertices and plan entries returned; a
-witness with a float input rounds each amount once, to a float.  M_w and
-its cone-optimal vertices depend on the rule alone: they are built once per
-rule object and freed with it.  Margins and p are read exactly too, with no
+witness with a float input rounds each amount once, to a float.  M_w is
+built once per rule object, freed with it, and computes its cone-optimal
+vertices once, in its cached property Polytope2D.cone_optimal.  Margins and p are read exactly too, with no
 tie tolerance, by scoreboard_valid, optimal_vertex_set and closed_form_q.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,35 +101,29 @@ class Polytope2D:
 
     @cached_property  # kept in the instance's __dict__, so a cached polytope computes it once
     def cone_optimal(self) -> tuple:
-        return _cone_optimal_vertices(self)
-
-    def to_json(self, rule_label: str, exact: bool = False, extra: dict | None = None) -> str:
-        def coord(v):
-            return str(Fraction(v)) if exact else float(v)
-
-        payload = {
-            "rule": rule_label,
-            "m": self.m,
-            "vertices": [[coord(x), coord(y)] for x, y in self.vertices],
-            "rays": [[coord(x), coord(y)] for x, y in self.rays],
-        }
-        if extra:
-            payload.update(extra)
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> tuple[str, "Polytope2D"]:
-        data = json.loads(text)
-        for key in ("rule", "m", "vertices", "rays"):
-            if key not in data:
-                raise InvalidInput(f"polytope JSON lacks {key!r}")
-
-        def parse(v):
-            return Fraction(v) if isinstance(v, str) else float(v)
-
-        vertices = tuple((parse(x), parse(y)) for x, y in data["vertices"])
-        rays = tuple((parse(x), parse(y)) for x, y in data["rays"])
-        return data["rule"], cls(data["m"], vertices, rays, ())
+        """See cone_optimal_vertices."""
+        m = self.m
+        slope = Fraction(m, m - 1)  # dB/dtheta along d(theta) = (1, -1 + theta*m/(m-1))
+        points = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
+        rays = [(Fraction(x), Fraction(y)) for x, y in self.rays]
+        out = []
+        for v, (vx, vy) in zip(self.vertices, points):
+            # v needs (v - u) . d(theta) >= 0 for every other vertex u, and r . d(theta) <= 0 for
+            # every ray r to keep the maximum finite: that is the rival point u = v + r
+            rivals = [u for u in points if u != (vx, vy)] + [(vx + rx, vy + ry) for rx, ry in rays]
+            lo, hi = Fraction(0), Fraction(1)
+            for ux, uy in rivals:
+                c0 = (vx - ux) - (vy - uy)
+                c1 = (vy - uy) * slope
+                if c1 > 0:
+                    lo = max(lo, -c0 / c1)
+                elif c1 < 0:
+                    hi = min(hi, -c0 / c1)
+                elif c0 < 0:
+                    hi = lo  # u beats v at every theta: the range stays empty
+            if lo < hi:
+                out.append(v)
+        return tuple(out)
 
 
 def _cross(o, p, q):
@@ -218,35 +211,10 @@ def cone_optimal_vertices(poly: Polytope2D) -> tuple:
     Margin directions from real scoreboards sweep the cone between (1, -1)
     and (1, 1/(m-1)) (up to positive scaling).  A vertex counts when its
     argmax set of directions has positive length, with directions of
-    unbounded objective (past a recession ray) excluded.  Computed once per
-    polytope object (Polytope2D.cone_optimal).
+    unbounded objective (past a recession ray) excluded.  Returns the
+    polytope's cached Polytope2D.cone_optimal, computed once per object.
     """
     return poly.cone_optimal
-
-
-def _cone_optimal_vertices(poly):
-    m = poly.m
-    slope = Fraction(m, m - 1)  # dB/dtheta along d(theta) = (1, -1 + theta*m/(m-1))
-    points = [(Fraction(x), Fraction(y)) for x, y in poly.vertices]
-    rays = [(Fraction(x), Fraction(y)) for x, y in poly.rays]
-    out = []
-    for v, (vx, vy) in zip(poly.vertices, points):
-        # v needs (v - u) . d(theta) >= 0 for every other vertex u, and r . d(theta) <= 0 for
-        # every ray r to keep the maximum finite: that is the rival point u = v + r
-        rivals = [u for u in points if u != (vx, vy)] + [(vx + rx, vy + ry) for rx, ry in rays]
-        lo, hi = Fraction(0), Fraction(1)
-        for ux, uy in rivals:
-            c0 = (vx - ux) - (vy - uy)
-            c1 = (vy - uy) * slope
-            if c1 > 0:
-                lo = max(lo, -c0 / c1)
-            elif c1 < 0:
-                hi = min(hi, -c0 / c1)
-            elif c0 < 0:
-                hi = lo  # u beats v at every theta: the range stays empty
-        if lo < hi:
-            out.append(v)
-    return tuple(out)
 
 
 # --------------------------------------------------------------------- #

@@ -32,7 +32,7 @@ from coalition_lp.asymptotics import (
 
 def test_limit_model_coefficients():
     m = limit_model(borda(3))
-    assert m.sigma == pytest.approx(math.sqrt(1 / 6))
+    assert borda(3).sigma == pytest.approx(math.sqrt(1 / 6))
     assert m.c_w == pytest.approx(1.0)
     m4 = limit_model(borda(4))
     assert m4.diag_coeff_sq == Fraction(5, 12)
@@ -118,7 +118,7 @@ def all_vertex_draws(model, rng, size):
     antiplurality(3), antiplurality(4), three_candidate(Fraction(1, 4)),
     normalize([1, Fraction(5, 6), Fraction(1, 3), Fraction(1, 4), 0]),
     normalize([1.0, 0.6, 0.2, 0.0]),
-], ids=str)
+], ids=lambda rule: "(" + ", ".join(map(str, rule.weights)) + ")")
 def test_cone_optimal_vertices_give_every_draw(rule):
     # vertices off the cone-optimal set never change a draw, to the last bit
     model = limit_model(rule)
@@ -730,6 +730,15 @@ def test_curves_refuse_non_finite_grid_points(bad, monkeypatch):
             gw_curve(model, grid, 10_000, 0)
         with pytest.raises(InvalidInput, match="finite"):
             convergence_experiment(borda(4), [10], 100, grid=grid, limit_samples=10_000)
+
+
+def test_curves_refuse_an_empty_grid(monkeypatch):
+    """An empty grid is InvalidInput before any draw, not numpy's zero-size maximum error."""
+    _refuse_draws(monkeypatch)
+    with pytest.raises(InvalidInput, match="at least one point"):
+        gw_curve(limit_model(borda(3)), [], 10_000, 0)
+    with pytest.raises(InvalidInput, match="at least one point"):
+        convergence_experiment(borda(3), [100], 100, grid=[], limit_samples=10_000)
 
 
 def test_convergence_csv_round_trip():

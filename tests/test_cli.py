@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coalition_lp
-from coalition_lp import asymptotics, lp
+from coalition_lp import asymptotics, lp, reduction
 from coalition_lp.asymptotics import curve_from_csv, convergence_from_csv
 from coalition_lp.cli import main, parse_grid
-from coalition_lp.election import sample_ic
+from coalition_lp.election import parse_rule, sample_ic
 
 TINY = '{"m": 3, "votes": [{"ranking": [0,1,2], "count": 4}, {"ranking": [1,0,2], "count": 3}, {"ranking": [2,1,0], "count": 1}]}'
 UNREACHABLE = (
@@ -57,6 +58,28 @@ def test_polytope_ray(capsys):
     assert main(["polytope", "--rule", "antiplurality", "--m", "4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["rays"] == [[0.0, 1.0]]
+
+
+def test_polytope_output_reads_back_as_the_polytope(capsys):
+    """Per pinned rule, m = 3..8: vertices, rays and optimal_dots are M_w's, read with Fraction.
+
+    Without --exact they are the floats of the same values.
+    """
+    keys = ["rule", "m", "vertices", "rays", "sigma_w", "sigma_scaled_vertices",
+            "optimal_dots", "sigma_scaled_dots"]
+    for m in range(3, 9):
+        for text in _pin_rules(m):
+            poly = reduction.mw_polytope(parse_rule(text, m))
+            want = {"vertices": poly.vertices, "rays": poly.rays,
+                    "optimal_dots": reduction.cone_optimal_vertices(poly)}
+            for flags, read, kind in ((["--exact"], Fraction, str), ([], float, float)):
+                assert main(["polytope", "--rule", text, "--m", str(m), *flags]) == 0
+                data = json.loads(capsys.readouterr().out)
+                assert list(data) == keys and (data["rule"], data["m"]) == (text, m)
+                for key, points in want.items():
+                    assert all(type(c) is kind for point in data[key] for c in point)
+                    assert [tuple(map(read, p)) for p in data[key]] == \
+                        [tuple(map(read, p)) for p in points], (text, m, key)
 
 
 def test_gw_command_round_trip(tmp_path):

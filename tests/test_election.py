@@ -97,6 +97,17 @@ def test_rankings_and_indexing():
         all_rankings(9)
 
 
+@pytest.mark.parametrize("m", range(3, 7))
+def test_ranking_index_is_the_position_in_all_rankings(m):
+    for i, ranking in enumerate(all_rankings(m)):
+        assert ranking_index(ranking, m) == ranking_index(list(ranking), m) == i
+    ok = tuple(range(m))
+    repeated, short, long, out_of_range = (0, 0) + ok[2:], ok[:-1], ok + (0,), ok[:-1] + (m,)
+    for bad in (repeated, short, long, out_of_range, (-1,) + ok[1:]):
+        with pytest.raises(InvalidInput, match=rf"not a permutation of 0\.\.{m - 1}: "):
+            ranking_index(bad, m)
+
+
 def test_antiplurality_scoreboard():
     prof = Profile.from_counts(3, {(0, 1, 2): 2, (1, 2, 0): 1})
     board = scoreboard(prof, antiplurality(3))

@@ -86,8 +86,8 @@ def test_target_first_ballots_lose_nothing():
         assert guided == free
 
 
-def test_outside_pool_recruits_lose_nothing():
-    # the target-first search matches program (1) solved by milp over every ballot type
+def test_target_first_search_matches_milp_over_every_ballot_type():
+    # a ballot set wider than target-first never gives a smaller coalition
     rng = random.Random(6)
     checked = 0
     while checked < 6:
@@ -103,6 +103,19 @@ def test_outside_pool_recruits_lose_nothing():
             inst = ManipulationInstance.from_profile(prof, rule, beta)
             assert q1(inst) == milp_mcs(prof, rule, target=beta, unrestricted=True)
         checked += 1
+
+
+def test_program_one_leaves_out_recruits_who_prefer_the_winner():
+    """Recruits outside the pool could help, but program (1) has no column for them."""
+    prof = Profile.from_counts(3, {(0, 1, 2): 3, (1, 2, 0): 2})
+    rule = plurality(3)
+    inst = ManipulationInstance.from_profile(prof, rule, 1)
+    assert (q3(inst), q1(inst), milp_mcs(prof, rule, target=1)) == (1, math.inf, math.inf)
+    # one recruit of the winner's voters, casting (1, 0, 2), leaves the scores at 2, 3, 0
+    after = Profile.from_counts(3, {(0, 1, 2): 2, (1, 0, 2): 1, (1, 2, 0): 2})
+    assert scoreboard(after, rule).scores == (2, 3, 0)
+    plan = CoalitionPlan(x={(0, 1, 2): 1}, y={(1, 0, 2): 1})
+    assert verify_integral_plan(inst, plan) == ["recruit type (0, 1, 2) outside the allowed pool"]
 
 
 def test_relaxation_chain():
@@ -212,11 +225,11 @@ def test_reduced_lps_keep_the_full_pool_values():
                     if beta == a:
                         continue
                     inst = ManipulationInstance.from_profile(profile, rule, beta)
-                    full = exact._lp_value(exact._coalition_lp(inst, inst.pref_types))
+                    full = exact._solved(exact._coalition_lp(inst, inst.pref_types)).value
                     _same_value(q3(inst), full, rule)
                     if beta != b:
                         continue
-                    stratified = exact._lp_value(exact._coalition_lp(inst, inst.ba_types))
+                    stratified = exact._solved(exact._coalition_lp(inst, inst.ba_types)).value
                     _same_value(q_program2_from_instance(inst), stratified, rule)
                     _same_value(q3(inst), q_program2_from_instance(inst), rule)
 
@@ -278,7 +291,7 @@ def test_certified_values_match_fresh_full_pool_solves(monkeypatch):
                 else:
                     hits += 1
                     rays += got == math.inf
-                want = exact._lp_value(exact._coalition_lp(inst, pool))
+                want = exact._solved(exact._coalition_lp(inst, pool)).value
                 assert got == want and type(got) is type(want), (rule, inst.scores, beta)
                 calls.append((bound, inst))
                 values.append(got)

@@ -9,7 +9,7 @@ import pytest
 
 from coalition_lp import lp
 from coalition_lp.election import parse_rule, sample_ic, scoreboard, top_two
-from coalition_lp.exact import ManipulationInstance, _coalition_lp, _lp_value, q2
+from coalition_lp.exact import ManipulationInstance, _coalition_lp, _solved, q2
 from coalition_lp.lp import (
     DimensionMismatch, LinearProgram, LpStatus, StatusMismatch, dual_gap_check, solve,
 )
@@ -287,7 +287,7 @@ PINNED_RULES = ("plurality", "borda", "approval:2", "antiplurality", "weights:1,
 
 def _full_pool_lp(inst, pool):
     """The coalition LP over all of pool: q3 over pref_types, program (2) over ba_types."""
-    return _lp_value(_coalition_lp(inst, pool))
+    return _solved(_coalition_lp(inst, pool)).value
 
 
 def _solve_the_bounds():

@@ -15,8 +15,8 @@ from coalition_lp.exact import (
     CoalitionPlan, ManipulationInstance, q3, q_program2, verify_stratified_plan,
 )
 from coalition_lp.reduction import (
-    ConstructionFailed, MarginPair, ParamOutOfRange, Polytope2D, UnknownFamily,
-    ZInfeasible, _cone_optimal_vertices, closed_form_q, cone_optimal_vertices, k_constant,
+    ConstructionFailed, MarginPair, ParamOutOfRange, UnknownFamily,
+    ZInfeasible, closed_form_q, cone_optimal_vertices, k_constant,
     mw_polytope, optimal_vertex_set, q_dual, q_stratified, sigma_scaled, witness_from_z,
 )
 from oracles import polytope_vertices
@@ -382,7 +382,7 @@ def test_cached_polytopes_match_fresh_builds():
             fresh = mw_polytope(ScoreVector(tuple(rule.weights)))  # an equal rule, another object
             assert fresh is not poly and fresh == poly
             assert repr(poly) == repr(fresh)
-            assert repr(cone_optimal_vertices(poly)) == repr(_cone_optimal_vertices(fresh))
+            assert repr(cone_optimal_vertices(poly)) == repr(fresh.cone_optimal)
 
 
 @pytest.mark.parametrize("first", ["float", "fraction"])
@@ -447,7 +447,7 @@ def _witness_branch_case(label):
     rule, scores, z = cases[label]
     inst = ManipulationInstance.from_scores(rule, scores)
     if z is None:
-        mean = inst.mean_score
+        mean = inst.board.mean
         z = q_stratified(MarginPair(scores[inst.a] - mean, mean - scores[inst.b]), rule)[1]
     return inst, z
 
@@ -599,17 +599,3 @@ def test_witness_needs_runner_up_target():
     inst = ManipulationInstance.from_profile(PROFILE_A, borda(3), beta=2)
     with pytest.raises(ValueError):
         witness_from_z(inst, (1, 0))
-
-
-def test_polytope_json_round_trip():
-    poly = mw_polytope(borda(4))
-    label, back = Polytope2D.from_json(poly.to_json("borda"))
-    assert label == "borda"
-    assert back.m == poly.m
-    assert [(float(x), float(y)) for x, y in back.vertices] == [
-        (float(x), float(y)) for x, y in poly.vertices
-    ]
-    label, exact_back = Polytope2D.from_json(poly.to_json("borda", exact=True))
-    assert exact_back.vertices == poly.vertices
-    with pytest.raises(ValueError):
-        Polytope2D.from_json('{"m": 3}')
